@@ -38,7 +38,7 @@ from .coeffs import (
     theta_from_beta,
     theta_from_lambda,
 )
-from .errors import TaildepError, CertificateRejected, UnboundedObjective
+from .errors import CertificateRejected, InternalError, TaildepError, UnboundedObjective
 from .rationals import rat, rat_str
 from .realize import Status, decide_sdr, decide_tdr, verify_certificate
 from .spectral import (
@@ -395,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MALFORMED if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (CertificateRejected, UnboundedObjective) as exc:
+    except (CertificateRejected, InternalError, UnboundedObjective) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (TaildepError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

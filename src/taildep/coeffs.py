@@ -97,7 +97,9 @@ class SubsetFn:
                 f"expected {n} values for p={self.p}, got {len(self.values)}"
             )
         if self.kind is Kind.BETA:
-            bad = [m + 1 for m, v in enumerate(self.values) if v < 0]
+            # the sign of the numerator: several times cheaper than a
+            # Fraction comparison with 0, and exact for every Rat and int
+            bad = [m + 1 for m, v in enumerate(self.values) if v.numerator < 0]
             if bad:
                 raise InvalidBeta(
                     "negative beta entries at subsets "
@@ -251,7 +253,7 @@ def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
 
 def _tag_beta(p: int, values: Sequence[Rat]) -> SubsetFn:
     """Tag an inversion result: BETA when nonnegative, RAW otherwise."""
-    if any(v < 0 for v in values):
+    if any(v.numerator < 0 for v in values):
         return SubsetFn(p, tuple(values), Kind.RAW)
     return SubsetFn(p, tuple(values), Kind.BETA)
 

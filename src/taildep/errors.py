@@ -63,3 +63,7 @@ class CertificateRejected(TaildepError):
 
 class UnboundedObjective(TaildepError):
     """Linear objective unbounded over the feasible region."""
+
+
+class InternalError(TaildepError):
+    """An internal invariant failed: a bug in this package, not bad input."""

@@ -182,6 +182,11 @@ def write_samples_binary(path: str | Path, samples: np.ndarray) -> None:
 def read_samples_binary(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(_SAMPLES_HEADER.size)
+        if len(header) < _SAMPLES_HEADER.size:
+            raise MalformedInput(
+                f"sample stream header truncated: {len(header)} of "
+                f"{_SAMPLES_HEADER.size} bytes"
+            )
         magic, p, n = _SAMPLES_HEADER.unpack(header)
         if magic != SAMPLES_MAGIC:
             raise MalformedInput(f"bad magic {magic!r} in sample stream")

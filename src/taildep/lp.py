@@ -1,4 +1,4 @@
-"""Exact rational simplex for equality-form feasibility and optimization.
+"""Exact fraction-free simplex for equality-form feasibility and optimization.
 
 Solves  { x >= 0 : A x = b }  over exact rationals.  Phase one minimizes the
 total artificial infeasibility; its optimal dual multipliers are exactly a
@@ -9,6 +9,38 @@ Farkas certificate when the optimum is positive:
 checkable by anyone without trusting this solver.  After a feasible phase
 one, arbitrary linear objectives can be optimized warm-started from the
 current basis, which is what the decomposition-uniqueness probing needs.
+
+Integer tableau.  The system is scaled to integers once: A by the lcm of
+its denominators, b by the lcm of its own, each factor uniform over all
+rows.  (One factor for both would enter D below once per basic column of
+A: the TDR matrices are 0/1, but their right-hand sides have denominators
+like 256.)  The solver then holds an integer tableau N over one common
+denominator D > 0: the rational tableau of the scaled system is N / D,
+and D is the absolute value of the determinant of the current basis
+(Edmonds 1967; Bareiss 1968).  A pivot on N[r][col] = piv is
+
+    N'[i] = (N[i] * piv - N[i][col] * N[r]) // D   for i != r,   D' = piv,
+
+where every division is exact because all entries of N are minors of the
+scaled system.  A negative pivot (only possible while driving artificials
+out of the basis) first negates its row, which keeps D positive.  The
+phase-one row and the phase-two reduced-cost row (with costs scaled to
+integers once) are updated by the same formula.  Ratio and lexicographic
+tests compare N[i][j] / N[i][col] by cross-multiplication, so no gcd is
+ever taken inside the loops; rationals are built only for the witness, the
+Farkas vector and the optimum value.
+
+What carries over from the rational tableau.  Scaling b by a factor
+scales the right-hand-side column and nothing else.  Scaling A by a factor
+divides the rows whose basic variable is structural by it and multiplies
+the structural columns by it.  Row scaling cancels in the ratio and
+lexicographic tests, and a column scaled uniformly over all rows keeps
+their order; the phase-one row is multiplied by the factor on the
+structural columns, so Dantzig's entering choice is unchanged, and left
+alone on the artificial columns, so the Farkas multipliers read from it
+are the same numbers.  Hence every pivot, and every answer, is the one the
+rational tableau would give; the witness is the scaled one times the
+ratio of the two factors.
 
 Pivoting uses Dantzig's entering rule with a lexicographic ratio test.
 The tableau rows (which contain an identity block on the basic columns)
@@ -25,7 +57,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TaildepError, UnboundedObjective
-from .rationals import Rat, ZERO, rat
+from .rationals import Rat, ZERO, rat, to_common_numerators
 
 
 @dataclass
@@ -35,8 +67,13 @@ class FeasibilityResult:
     farkas: list | None  # length-m certificate when infeasible
 
 
+def _exact(value):
+    # ints pass through: they carry numerator/denominator already
+    return value if type(value) is int else rat(value)
+
+
 class ExactSimplex:
-    """Equality-form tableau simplex over exact rationals.
+    """Equality-form tableau simplex over exact rationals, on integers inside.
 
     Construction runs phase one immediately.  When feasible, the artificial
     columns are eliminated (redundant rows dropped) and ``minimize`` /
@@ -44,30 +81,37 @@ class ExactSimplex:
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence) -> None:
-        self.n = len(rows[0]) if rows else 0
+        self.n = n = len(rows[0]) if rows else 0
         m = len(rows)
         if len(rhs) != m:
             raise ValueError("rhs length does not match row count")
+        flat = []
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("ragged constraint matrix")
+            flat.extend(_exact(v) for v in row)
+        nums, self._scale_a = to_common_numerators(flat)
+        b_nums, self._scale_b = to_common_numerators([_exact(v) for v in rhs])
         # Original row order is preserved for certificate reporting; rows
         # with negative rhs are sign-flipped internally.
         signs = []
-        T: list[list] = []
-        b = [rat(v) for v in rhs]
+        N: list[list[int]] = []
         for i in range(m):
-            row = [rat(v) for v in rows[i]]
-            if len(row) != self.n:
-                raise ValueError("ragged constraint matrix")
-            if b[i] < 0:
+            row = nums[i * n : (i + 1) * n]
+            b = b_nums[i]
+            if b < 0:
                 row = [-v for v in row]
-                b[i] = -b[i]
+                b = -b
                 signs.append(-1)
             else:
                 signs.append(1)
-            T.append(row + [ZERO] * m + [b[i]])
-            T[i][self.n + i] = rat(1)
+            art = [0] * m
+            art[i] = 1
+            N.append(row + art + [b])
         self._signs = signs
-        self._T = T
-        self._basis = [self.n + i for i in range(m)]
+        self._N = N
+        self._D = 1
+        self._basis = [n + i for i in range(m)]
         self.farkas: list | None = None
         self.feasible = self._phase_one(m)
         if self.feasible:
@@ -75,19 +119,30 @@ class ExactSimplex:
 
     # -- shared pivot machinery --------------------------------------------
 
-    def _pivot(self, leave: int, col: int) -> None:
-        T = self._T
-        piv = T[leave][col]
-        if piv != 1:
-            inv = 1 / piv
-            T[leave] = [v * inv if v else v for v in T[leave]]
-        prow = T[leave]
-        for i in range(len(T)):
+    def _pivot(self, leave: int, col: int, obj: list | None = None) -> list | None:
+        """Integer-preserving pivot; returns ``obj`` updated the same way."""
+        N = self._N
+        D = self._D
+        prow = N[leave]
+        piv = prow[col]
+        if piv < 0:
+            prow = N[leave] = [-v for v in prow]
+            piv = -piv
+
+        def update(row: list) -> list:
+            f = row[col]
+            if f:
+                return [(a * piv - f * c) // D for a, c in zip(row, prow)]
+            if piv == D:
+                return row
+            return [a * piv // D if a else 0 for a in row]
+
+        for i in range(len(N)):
             if i != leave:
-                f = T[i][col]
-                if f:
-                    T[i] = [a - f * c if c else a for a, c in zip(T[i], prow)]
+                N[i] = update(N[i])
+        self._D = piv
         self._basis[leave] = col
+        return None if obj is None else update(obj)
 
     def _ratio_test(self, col: int) -> int:
         """Lexicographic leaving row, or -1 if the column is unbounded.
@@ -95,64 +150,55 @@ class ExactSimplex:
         Among the rows minimizing rhs / pivot, pick the one whose whole
         scaled row is lexicographically smallest.  Distinct rows can never
         tie across every column (the basic columns embed an identity), so
-        the choice is unique and the pivot sequence cannot cycle.
+        the choice is unique and the pivot sequence cannot cycle.  D is
+        common to every row, so quotients of N entries are compared by
+        cross-multiplication.
         """
-        T = self._T
-        candidates = []
-        best = None
-        for i in range(len(T)):
-            a = T[i][col]
-            if a > 0:
-                r = T[i][-1] / a
-                if best is None or r < best:
-                    best = r
-                    candidates = [i]
-                elif r == best:
-                    candidates.append(i)
+        N = self._N
+        candidates = [i for i in range(len(N)) if N[i][col] > 0]
         if not candidates:
             return -1
-        for j in range(len(T[0]) - 1):
+        for j in [-1, *range(len(N[0]) - 1)]:
             if len(candidates) == 1:
                 break
-            vals = [T[i][j] / T[i][col] for i in candidates]
-            lo = min(vals)
-            candidates = [i for i, v in zip(candidates, vals) if v == lo]
+            best = candidates[0]
+            bn, bd = N[best][j], N[best][col]
+            keep = [best]
+            for i in candidates[1:]:
+                row = N[i]
+                lhs, rhs = row[j] * bd, bn * row[col]
+                if lhs < rhs:
+                    bn, bd = row[j], row[col]
+                    keep = [i]
+                elif lhs == rhs:
+                    keep.append(i)
+            candidates = keep
         return candidates[0]
 
     # -- phase one -----------------------------------------------------------
 
     def _phase_one(self, m: int) -> bool:
-        T = self._T
+        N = self._N
         n = self.n
-        width = n + m + 1
-        # zrow[j] = y' A_j for the running multipliers y = costs of the
-        # artificial basis; starts as the column sums since every artificial
-        # has cost 1.  zrow[-1] is the residual infeasibility.
-        zrow = [ZERO] * width
-        for row in T:
-            zrow = [z + v if v else z for z, v in zip(zrow, row)]
+        # z[j] / D = y' A_j of the scaled system for the running multipliers
+        # y = costs of the artificial basis; starts as the column sums since
+        # every artificial has cost 1.  z[-1] / D is the residual
+        # infeasibility.
+        z = [sum(column) for column in zip(*N)] if N else [0] * (n + 1)
         while True:
-            col = -1
-            best = ZERO
-            for j in range(n):
-                v = zrow[j]
-                if v > best:
-                    best = v
-                    col = j
-            if col < 0:
+            best = max(z[:n], default=0)
+            if best <= 0:
                 break  # optimal
+            col = z.index(best)
             leave = self._ratio_test(col)
             if leave < 0:
                 # Cannot happen: the phase-one objective is bounded below by 0.
                 raise TaildepError("phase-one ratio test failed")
-            self._pivot(leave, col)
-            f = zrow[col]
-            if f:
-                prow = T[leave]
-                zrow = [z - f * v if v else z for z, v in zip(zrow, prow)]
-        if zrow[-1] > 0:
+            z = self._pivot(leave, col, z)
+        if z[-1] > 0:
             # Infeasible: multipliers live in the artificial columns.
-            self.farkas = [s * zrow[n + i] for i, s in enumerate(self._signs)]
+            D = self._D
+            self.farkas = [Rat(s * z[n + i], D) for i, s in enumerate(self._signs)]
             return False
         return True
 
@@ -163,17 +209,17 @@ class ExactSimplex:
         structural entry of their row is feasibility-preserving.  A row with
         no structural entry left is a redundant original constraint.
         """
-        T = self._T
+        N = self._N
         n = self.n
         keep = []
-        for i in range(len(T)):
+        for i in range(len(N)):
             if self._basis[i] >= n:
-                col = next((j for j in range(n) if T[i][j] != 0), None)
+                col = next((j for j in range(n) if N[i][j] != 0), None)
                 if col is None:
                     continue  # redundant row
                 self._pivot(i, col)
             keep.append(i)
-        self._T = [self._T[i][:n] + self._T[i][-1:] for i in keep]
+        self._N = [N[i][:n] + N[i][-1:] for i in keep]
         self._basis = [self._basis[i] for i in keep]
 
     # -- extraction ------------------------------------------------------------
@@ -182,8 +228,9 @@ class ExactSimplex:
         if not self.feasible:
             raise TaildepError("no witness: system is infeasible")
         x = [ZERO] * self.n
+        D = self._D
         for i, j in enumerate(self._basis):
-            x[j] = self._T[i][-1]
+            x[j] = Rat(self._N[i][-1] * self._scale_a, D * self._scale_b)
         return x
 
     # -- phase two ---------------------------------------------------------------
@@ -192,38 +239,31 @@ class ExactSimplex:
         """Minimize c' x over the feasible region, warm-started; exact optimum."""
         if not self.feasible:
             raise TaildepError("cannot optimize an infeasible system")
-        c = [rat(v) for v in costs]
-        if len(c) != self.n:
-            raise ValueError(f"expected {self.n} costs, got {len(c)}")
-        T = self._T
-        width = self.n + 1
-        zrow = [ZERO] * width
+        if len(costs) != self.n:
+            raise ValueError(f"expected {self.n} costs, got {len(costs)}")
+        n = self.n
+        c, scale = to_common_numerators([_exact(v) for v in costs])
+        N = self._N
+        # rc / (scale * D) = c - c_B' B^-1 [A | b] of the scaled system,
+        # with zero cost on b: the reduced costs, then minus the objective
+        # value in the scaled variables.
+        D = self._D
+        rc = [cj * D for cj in c] + [0]
         for i, j in enumerate(self._basis):
             f = c[j]
             if f:
-                zrow = [z + f * v if v else z for z, v in zip(zrow, T[i])]
-        rc = [cj - zj for cj, zj in zip(c, zrow)]
+                rc = [r - f * v for r, v in zip(rc, N[i])]
         while True:
-            col = -1
-            best = ZERO
-            for j in range(self.n):
-                v = rc[j]
-                if v < best:
-                    best = v
-                    col = j
-            if col < 0:
+            best = min(rc[:n], default=0)
+            if best >= 0:
                 break
+            col = rc.index(best)
             leave = self._ratio_test(col)
             if leave < 0:
                 raise UnboundedObjective("objective unbounded over the feasible cone")
-            self._pivot(leave, col)
-            f = rc[col]
-            if f:
-                prow = T[leave]
-                rc = [r - f * v if v else r for r, v in zip(rc, prow)]
-        x = self.witness()
-        value = sum((cj * xj for cj, xj in zip(c, x) if xj), ZERO)
-        return value, x
+            rc = self._pivot(leave, col, rc)
+        value = Rat(-rc[-1] * self._scale_a, scale * self._D * self._scale_b)
+        return value, self.witness()
 
     def maximize(self, costs: Sequence) -> tuple[Rat, list]:
         value, x = self.minimize([-rat(v) for v in costs])

@@ -3,9 +3,10 @@
 Everything user-facing in this package that claims exactness is carried by
 the rational type `Rat` defined here.  We prefer ``gmpy2.mpq`` (C-backed,
 roughly 5x faster than ``fractions.Fraction`` on the subset-lattice
-transforms and the simplex pivots) and fall back to the stdlib ``Fraction``
-when gmpy2 is not installed.  Both types interoperate with each other and
-with ints, so callers may pass either.
+transforms) and fall back to the stdlib ``Fraction`` when gmpy2 is not
+installed.  Both types interoperate with each other and with ints, so
+callers may pass either.  The simplex in ``lp`` pivots on plain integers
+and builds `Rat` values only for its answers.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def to_common_numerators(values: Sequence[RatLike]) -> tuple[list, int]:
     """Return (numerators over a common denominator D, D).
 
     Addition-only lattice transforms run much faster on plain integers than
-    on rationals, and they preserve any common denominator.  Denominators
-    in real inputs repeat heavily, so the per-denominator scale factors are
-    computed once each.
+    on rationals, and they preserve any common denominator; the simplex
+    scales its constraint matrix and right-hand side to integers with it.
+    Plain ints are accepted alongside rationals (their denominator is 1).
+    Denominators in real inputs repeat heavily, so the per-denominator
+    scale factors are computed once each.
     """
     dens = {v.denominator for v in values}
     den = reduce(math.lcm, (int(d) for d in dens), 1)

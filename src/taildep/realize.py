@@ -28,6 +28,7 @@ from .coeffs import Kind, SubsetFn, TdMatrix, lambda_from_beta
 from .errors import (
     CertificateRejected,
     DegenerateReduction,
+    InternalError,
     MalformedInput,
     ScaleTooSmall,
     SizeLimitError,
@@ -151,7 +152,8 @@ def decide_tdr(L: TdMatrix, *, max_p: int | None = None) -> FeasibilityOutcome:
     # Round-trip sanity: synthesizing the induced full lambda system must
     # recover exactly these weights.
     resynth = synthesize(lambda_from_beta(beta))
-    assert isinstance(resynth, TmModel) and resynth.beta.values == beta.values
+    if not (isinstance(resynth, TmModel) and resynth.beta.values == beta.values):
+        raise InternalError("TDR witness does not survive resynthesis")
     return FeasibilityOutcome(
         "tdr", Status.FEASIBLE, L.p, pairs, witness_beta=beta, model=model
     )

@@ -73,6 +73,8 @@ def sample(
     """
     if model.is_degenerate:
         raise DegenerateModel("cannot sample a model with all-zero weights")
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
     if n < 1:
         raise DomainError("n must be >= 1")
     support = model.support()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .coeffs import TdMatrix, spectral_distance_entry
-from .errors import MalformedMatrix, NotInCutCone
+from .errors import InternalError, MalformedMatrix, NotInCutCone
 from .rationals import Rat, RatLike, ZERO, rat
 from .subsets import full_mask, set_str
 from .tm import TmModel
@@ -306,7 +306,8 @@ def line_tm_model(
         return NotRealizableAtTheseMarginals(negative)
     model = TmModel.from_entries(p, {m_: v for m_, v in entries.items() if v != 0})
     # The formulas reconstruct marginals and distances identically; trip only on bugs.
-    assert model.marginal_scales() == tuple(m)
+    if model.marginal_scales() != tuple(m):
+        raise InternalError("line model does not reproduce its marginal scales")
     return LineTmModel(model, cert, tuple(m))
 
 
@@ -326,7 +327,8 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
     mline_lo = line_model.marginals[cert.order[lo]]
     mline_hi = line_model.marginals[cert.order[hi]]
     value = (mline_lo + mline_hi - cert.distance(lo, hi)) / 2
-    assert value == line_model.model.lambda_of(subset)
+    if value != line_model.model.lambda_of(subset):
+        raise InternalError("line formula disagrees with the model's lambda")
     return value
 
 

@@ -7,7 +7,7 @@ stored coefficient arrays but appears transiently in lattice transforms.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(*labels: int) -> int:
@@ -36,42 +36,8 @@ def labels_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bits_of(mask: int) -> tuple[int, ...]:
-    """Sorted 0-based bit positions set in a mask."""
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(p: int) -> int:
     return (1 << p) - 1
-
-
-def complement(mask: int, p: int) -> int:
-    return full_mask(p) ^ mask
-
-
-def nonempty_subsets(p: int) -> Iterator[int]:
-    return iter(range(1, 1 << p))
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def set_str(mask: int) -> str:

@@ -33,6 +33,7 @@ from .coeffs import (
 from .errors import (
     DegenerateModel,
     DomainError,
+    InternalError,
     InvalidPmf,
     ScaleTooSmall,
 )
@@ -136,7 +137,8 @@ def synthesize(system: SubsetFn) -> TmModel | RealizabilityFailure:
         return RealizabilityFailure(system.kind, negative)
     model = TmModel(system.p, inv)
     # Moebius inversion is exact, so this can only trip on an internal bug.
-    assert forward(inv).values == system.values
+    if forward(inv).values != system.values:
+        raise InternalError("Moebius inversion does not reproduce its input")
     return model
 
 
@@ -187,6 +189,11 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     with theta(empty) = 0.  Multiplied by u this converges to lambda(subset)
     as u grows; the gap is O(1/u), so finite-u values are the honest
     comparison target for simulation output.
+
+    The signs sum to zero over a nonempty subset, so each exp term is taken
+    as expm1 = exp - 1 without changing the sum.  At large u every exp term
+    is 1 to within rounding and their sum cancels to nothing, while the
+    expm1 terms keep their leading -theta(S) / u exactly.
     """
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
@@ -201,7 +208,7 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
             if pick >> t & 1:
                 s_mask |= bit
         theta_s = sum((v for m, v in support if m & s_mask), ZERO)
-        term = math.exp(-float(theta_s) / u)
+        term = math.expm1(-float(theta_s) / u)
         acc += term if pick.bit_count() % 2 == 0 else -term
     return acc
 

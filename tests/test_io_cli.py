@@ -79,6 +79,12 @@ class TestBinaryStream:
         with pytest.raises(MalformedInput):
             tio.read_samples_binary(path)
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"TDSIM")
+        with pytest.raises(MalformedInput):
+            tio.read_samples_binary(path)
+
     def test_truncated_rejected(self, tmp_path, line_model):
         from taildep.simulate import sample
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from taildep.errors import UnboundedObjective
 from taildep.lp import ExactSimplex, solve_feasibility
@@ -124,3 +125,199 @@ def test_degenerate_cycling_guard():
         res = solve_feasibility(rows, rhs)
         assert res.feasible  # x = 0 always works
         assert all(v == 0 or v >= 0 for v in res.x)
+
+
+# ---------------------------------------------------------------------------
+# Answers pinned from the rational-tableau solver this one replaced: the
+# integer tableau makes the same pivots, so it must return the same numbers.
+# ---------------------------------------------------------------------------
+
+
+def _rats(text):
+    return [rat(v) for v in text.split()]
+
+
+def test_k23_farkas_vector_pinned():
+    from taildep.instances import k23_metric
+    from taildep.realize import cut_system
+
+    _, rows, rhs = cut_system(k23_metric())
+    lp = ExactSimplex(rows, rhs)
+    assert not lp.feasible
+    assert lp.farkas == _rats("1 -1 -1 -1 -1 -1 -1 1 1 1")
+    assert farkas_is_valid(rows, rhs, lp.farkas)
+
+
+def test_graph_metric_farkas_vector_pinned():
+    # heavily degenerate: a different lexicographic tie-break changes it
+    from taildep.instances import random_graph_metric
+    from taildep.realize import cut_system
+
+    _, rows, rhs = cut_system(random_graph_metric(7, random.Random(8)))
+    lp = ExactSimplex(rows, rhs)
+    assert not lp.feasible
+    assert lp.farkas == _rats(
+        "-2 1 1 2 1 -3 -1 -1 -2 -1 3 0 1 0 -1 1 1 -2 1 -3 -2"
+    )
+    assert farkas_is_valid(rows, rhs, lp.farkas)
+
+
+def test_tdr_triangle_twin_farkas_vector_pinned():
+    from taildep.instances import (
+        pair_matrix_from_beta,
+        random_unit_margin_beta,
+        violate_triangle,
+    )
+    from taildep.realize import tdr_system
+
+    rng = random.Random(0)
+    L = pair_matrix_from_beta(random_unit_margin_beta(6, rng))
+    _, rows, rhs = tdr_system(violate_triangle(L, rng))
+    lp = ExactSimplex(rows, rhs)
+    assert not lp.feasible
+    assert lp.farkas == _rats("0 0 0 -1 1 -1 0 0 0 0 0 0 0 0 0 0 1 -1 -1 1 0")
+    assert farkas_is_valid(rows, rhs, lp.farkas)
+
+
+def test_tdr_unit_margin_witness_pinned():
+    from taildep.instances import pair_matrix_from_beta, random_unit_margin_beta
+    from taildep.realize import tdr_system
+
+    L = pair_matrix_from_beta(random_unit_margin_beta(6, random.Random(6)))
+    cols, rows, rhs = tdr_system(L)
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible
+    expected = {
+        1: "63/256", 2: "23/256", 3: "39/256", 4: "13/128", 5: "21/128",
+        6: "43/256", 8: "67/256", 9: "17/128", 10: "49/256", 12: "39/256",
+        16: "31/256", 17: "33/256", 18: "13/64", 20: "25/128", 24: "17/128",
+        32: "1/16", 33: "45/256", 34: "25/128", 36: "7/32", 40: "33/256",
+        48: "7/32",
+    }
+    x = lp.witness()
+    assert {c: v for c, v in zip(cols, x) if v} == {c: rat(v) for c, v in expected.items()}
+    assert witness_is_valid(rows, rhs, x)
+
+
+# ---------------------------------------------------------------------------
+# Brute force over basic solutions, sharing no code with the simplex.
+# ---------------------------------------------------------------------------
+
+
+def _unique_solution(rows, rhs, cols):
+    """The unique x_S with A_S x_S = b, or None (inconsistent or not unique)."""
+    aug = [[row[j] for j in cols] + [b] for row, b in zip(rows, rhs)]
+    k = len(cols)
+    pivots = []
+    r = 0
+    for c in range(k):
+        p = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if p is None:
+            return None  # dependent columns: not a basic solution
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [v / aug[r][c] for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(r)
+        r += 1
+    if any(row[-1] != 0 for row in aug[r:]):
+        return None
+    return [aug[i][-1] for i in pivots]
+
+
+def _basic_feasible_solutions(rows, rhs, n):
+    out = []
+    for cols_mask in range(1 << n):
+        cols = [j for j in range(n) if cols_mask >> j & 1]
+        xs = _unique_solution(rows, rhs, cols)
+        if xs is None or any(v < 0 for v in xs):
+            continue
+        x = [ZERO] * n
+        for j, v in zip(cols, xs):
+            x[j] = v
+        out.append(x)
+    return out
+
+
+def _brute_minimum(rows, rhs, costs):
+    """(feasible, bounded, optimum) of min c'x over {x >= 0 : A x = b}."""
+    n = len(costs)
+    points = _basic_feasible_solutions(rows, rhs, n)
+    if not points:
+        return False, None, None
+    # extreme rays of the recession cone {d >= 0 : A d = 0}, normalized
+    rays = _basic_feasible_solutions(
+        [list(row) for row in rows] + [[rat(1)] * n], [ZERO] * len(rows) + [rat(1)], n
+    )
+    if any(sum((c * d for c, d in zip(costs, ray)), ZERO) < 0 for ray in rays):
+        return True, False, None
+    return True, True, min(sum((c * v for c, v in zip(costs, x)), ZERO) for x in points)
+
+
+_small_rats = st.builds(
+    lambda num, den: rat(num, den),
+    st.integers(-3, 3),
+    st.sampled_from([1, 1, 2, 3, 4, 6]),
+)
+
+
+@st.composite
+def _small_systems(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(_small_rats, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = draw(st.lists(_small_rats, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        # redundant row: a rational combination of two existing rows
+        a, b = draw(_small_rats), draw(_small_rats)
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows.append([a * u + b * v for u, v in zip(rows[i], rows[k])])
+        rhs.append(a * rhs[i] + b * rhs[k])
+    costs = draw(st.lists(_small_rats, min_size=n, max_size=n))
+    return rows, rhs, costs
+
+
+@given(_small_systems())
+def test_small_systems_match_brute_force(system):
+    rows, rhs, costs = system
+    feasible, bounded, optimum = _brute_minimum(rows, rhs, costs)
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible == feasible
+    if not feasible:
+        assert farkas_is_valid(rows, rhs, lp.farkas)
+        return
+    assert witness_is_valid(rows, rhs, lp.witness())
+    if not bounded:
+        with pytest.raises(UnboundedObjective):
+            lp.minimize(costs)
+        return
+    value, x = lp.minimize(costs)
+    assert value == optimum
+    assert witness_is_valid(rows, rhs, x)
+    assert sum((c * v for c, v in zip(costs, x)), ZERO) == value
+
+
+def test_artificial_elimination_pivots_on_a_negative_entry(monkeypatch):
+    # Phase one ends with an artificial basic at level 0 whose row has a
+    # negative structural entry first; the tableau denominator must stay
+    # positive through that pivot, or later witnesses come out negative.
+    rows = [[-2, -2, 1, 0], [0, 0, 0, -2], [-2, -1, 0, 1]]
+    rhs = [-1, 0, -2]
+    entries = []
+    pivot = ExactSimplex._pivot
+
+    def spy(self, leave, col, obj=None):
+        entries.append(self._N[leave][col])
+        return pivot(self, leave, col, obj)
+
+    monkeypatch.setattr(ExactSimplex, "_pivot", spy)
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible and any(v < 0 for v in entries)
+    assert lp.witness() == [1, 0, 1, 0]
+    costs = [1, 2, 3, 4]
+    assert lp.minimize(costs) == (4, [1, 0, 1, 0])
+    assert lp.maximize(costs) == (13, [0, 2, 3, 0])
+    assert _brute_minimum(rows, rhs, costs)[2] == 4
+    assert _brute_minimum(rows, rhs, [-c for c in costs])[2] == -13

@@ -6,6 +6,7 @@ from taildep.coeffs import TdMatrix, lambda_from_beta
 from taildep.errors import (
     CertificateRejected,
     DegenerateReduction,
+    InternalError,
     MalformedInput,
     ScaleTooSmall,
     SizeLimitError,
@@ -80,6 +81,22 @@ class TestDecideTdr:
             assert out.feasible
             assert verify_certificate(out, L)
             assert pair_matrix_from_beta(out.witness_beta).lam == L.lam
+
+    def test_failed_resynthesis_is_an_internal_error(self, monkeypatch, tmp_path):
+        import taildep.realize
+        from taildep.cli import main
+        from taildep.instances import comonotone_model
+
+        # a synthesize that returns the wrong model trips the round-trip check
+        monkeypatch.setattr(
+            taildep.realize, "synthesize", lambda lam: comonotone_model(lam.p)
+        )
+        L = TdMatrix.from_rows([[1, rat(1, 2)], [rat(1, 2), 1]])
+        with pytest.raises(InternalError):
+            decide_tdr(L)
+        path = tmp_path / "L.csv"
+        path.write_text("1,1/2\n1/2,1\n")
+        assert main(["realize", "td", "--in", str(path)]) == 1
 
     def test_non_unit_diagonal_rejected(self):
         L = TdMatrix.from_rows([[2, 1], [1, 2]])

@@ -69,6 +69,12 @@ class TestSampling:
         for i in range(3):
             assert marginal_ks_statistic(line_model, xs, i) < crit
 
+    def test_zero_block_size_rejected_at_once(self, line_model):
+        with pytest.raises(ValueError):
+            sample(line_model, 10, seed=0, block_size=0)
+        with pytest.raises(ValueError):
+            sample(line_model, 10, seed=0, block_size=-1)
+
     def test_degenerate_model_rejected(self):
         with pytest.raises(DegenerateModel):
             sample(TmModel.from_entries(2, {}), 10, seed=0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,6 +131,52 @@ class TestExactJointExceedance:
     def test_invalid_threshold(self, line_model):
         with pytest.raises(DomainError):
             exact_joint_exceedance(line_model, 1, 0.0)
+
+    def test_large_threshold_keeps_the_line_pair(self, line_model):
+        # every exp(-theta/u) rounds to 1.0 here; the answer is still ~lam/u
+        lam = float(line_model.lambda_of(mask_of(1, 3)))
+        for u in (1e12, 1e100, 1e300):
+            assert u * exact_joint_exceedance(line_model, mask_of(1, 3), u) == (
+                pytest.approx(lam, rel=1e-9)
+            )
+
+
+def _mp_joint_exceedance(support, subset, u):
+    """Inclusion-exclusion over exp terms, with 50 digits left after cancellation."""
+    bits = [b for b in range(subset.bit_length()) if subset >> b & 1]
+    with mpmath.workdps(50 + int(math.log10(u))):
+        terms = []
+        for pick in range(1 << len(bits)):
+            s_mask = sum(1 << bits[t] for t in range(len(bits)) if pick >> t & 1)
+            theta = sum((v for m, v in support if m & s_mask), ZERO)
+            e = mpmath.exp(-mpmath.mpf(theta.numerator) / theta.denominator / mpmath.mpf(u))
+            terms.append(e if pick.bit_count() % 2 == 0 else -e)
+        return mpmath.fsum(terms)
+
+
+@st.composite
+def _model_subset_threshold(draw):
+    p = draw(st.integers(1, 4))
+    entries = draw(
+        st.dictionaries(
+            st.integers(1, (1 << p) - 1), st.integers(1, 16), min_size=1, max_size=6
+        )
+    )
+    model = TmModel.from_entries(p, {m: rat(v, 16) for m, v in entries.items()})
+    # a nonempty subset of some atom, so lambda(subset) > 0
+    atom = draw(st.sampled_from(sorted(entries)))
+    subset = draw(st.integers(1, atom).filter(lambda s: s & atom == s))
+    u = 10.0 ** draw(st.floats(2, 300))
+    return model, subset, u
+
+
+@given(_model_subset_threshold())
+def test_joint_exceedance_matches_mpmath_up_to_1e300(case):
+    model, subset, u = case
+    assert model.lambda_of(subset) > 0
+    exact = _mp_joint_exceedance(model.support(), subset, u)
+    value = exact_joint_exceedance(model, subset, u)
+    assert abs(value - float(exact)) <= 1e-9 * float(exact)
 
 
 class TestExceedanceSetDist:
