@@ -192,8 +192,8 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
 
     The signs sum to zero over a nonempty subset, so each exp term is taken
     as expm1 = exp - 1 without changing the sum.  At large u every exp term
-    is 1 to within rounding and their sum cancels to nothing, while the
-    expm1 terms keep their leading -theta(S) / u exactly.
+    rounds to 1 and their sum cancels to nothing, while each expm1 term
+    keeps -theta(S) / u to full relative precision.
     """
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
