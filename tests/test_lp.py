@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taildep.errors import UnboundedObjective
+from taildep.instances import (
+    k23_metric,
+    pair_matrix_from_beta,
+    random_graph_metric,
+    random_unit_margin_beta,
+    violate_triangle,
+)
 from taildep.lp import ExactSimplex, solve_feasibility
 from taildep.rationals import ZERO, rat
+from taildep.realize import cut_system, tdr_system
 
 
 def farkas_is_valid(rows, rhs, y):
@@ -133,56 +141,34 @@ def test_degenerate_cycling_guard():
 # ---------------------------------------------------------------------------
 
 
-def _rats(text):
-    return [rat(v) for v in text.split()]
-
-
-def test_k23_farkas_vector_pinned():
-    from taildep.instances import k23_metric
-    from taildep.realize import cut_system
-
-    _, rows, rhs = cut_system(k23_metric())
-    lp = ExactSimplex(rows, rhs)
-    assert not lp.feasible
-    assert lp.farkas == _rats("1 -1 -1 -1 -1 -1 -1 1 1 1")
-    assert farkas_is_valid(rows, rhs, lp.farkas)
-
-
-def test_graph_metric_farkas_vector_pinned():
-    # heavily degenerate: a different lexicographic tie-break changes it
-    from taildep.instances import random_graph_metric
-    from taildep.realize import cut_system
-
-    _, rows, rhs = cut_system(random_graph_metric(7, random.Random(8)))
-    lp = ExactSimplex(rows, rhs)
-    assert not lp.feasible
-    assert lp.farkas == _rats(
-        "-2 1 1 2 1 -3 -1 -1 -2 -1 3 0 1 0 -1 1 1 -2 1 -3 -2"
-    )
-    assert farkas_is_valid(rows, rhs, lp.farkas)
-
-
-def test_tdr_triangle_twin_farkas_vector_pinned():
-    from taildep.instances import (
-        pair_matrix_from_beta,
-        random_unit_margin_beta,
-        violate_triangle,
-    )
-    from taildep.realize import tdr_system
-
+def _twin_tdr_system():
     rng = random.Random(0)
     L = pair_matrix_from_beta(random_unit_margin_beta(6, rng))
-    _, rows, rhs = tdr_system(violate_triangle(L, rng))
+    return tdr_system(violate_triangle(L, rng))
+
+
+@pytest.mark.parametrize(
+    "system, farkas",
+    [
+        (lambda: cut_system(k23_metric()), "1 -1 -1 -1 -1 -1 -1 1 1 1"),
+        # heavily degenerate: a different lexicographic tie-break changes it
+        (
+            lambda: cut_system(random_graph_metric(7, random.Random(8))),
+            "-2 1 1 2 1 -3 -1 -1 -2 -1 3 0 1 0 -1 1 1 -2 1 -3 -2",
+        ),
+        (_twin_tdr_system, "0 0 0 -1 1 -1 0 0 0 0 0 0 0 0 0 0 1 -1 -1 1 0"),
+    ],
+    ids=["k23-sdr", "graph-metric-sdr", "triangle-twin-tdr"],
+)
+def test_farkas_vector_pinned(system, farkas):
+    _, rows, rhs = system()
     lp = ExactSimplex(rows, rhs)
     assert not lp.feasible
-    assert lp.farkas == _rats("0 0 0 -1 1 -1 0 0 0 0 0 0 0 0 0 0 1 -1 -1 1 0")
+    assert lp.farkas == [rat(v) for v in farkas.split()]
     assert farkas_is_valid(rows, rhs, lp.farkas)
 
 
 def test_tdr_unit_margin_witness_pinned():
-    from taildep.instances import pair_matrix_from_beta, random_unit_margin_beta
-    from taildep.realize import tdr_system
-
     L = pair_matrix_from_beta(random_unit_margin_beta(6, random.Random(6)))
     cols, rows, rhs = tdr_system(L)
     lp = ExactSimplex(rows, rhs)

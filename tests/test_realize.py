@@ -2,6 +2,7 @@
 
 import pytest
 
+from taildep.cli import main
 from taildep.coeffs import TdMatrix, lambda_from_beta
 from taildep.errors import (
     CertificateRejected,
@@ -12,6 +13,7 @@ from taildep.errors import (
     SizeLimitError,
 )
 from taildep.instances import (
+    comonotone_model,
     k23_metric,
     pair_matrix_from_beta,
     random_cut_metric,
@@ -83,13 +85,9 @@ class TestDecideTdr:
             assert pair_matrix_from_beta(out.witness_beta).lam == L.lam
 
     def test_failed_resynthesis_is_an_internal_error(self, monkeypatch, tmp_path):
-        import taildep.realize
-        from taildep.cli import main
-        from taildep.instances import comonotone_model
-
         # a synthesize that returns the wrong model trips the round-trip check
         monkeypatch.setattr(
-            taildep.realize, "synthesize", lambda lam: comonotone_model(lam.p)
+            "taildep.realize.synthesize", lambda lam: comonotone_model(lam.p)
         )
         L = TdMatrix.from_rows([[1, rat(1, 2)], [rat(1, 2), 1]])
         with pytest.raises(InternalError):
