@@ -83,4 +83,5 @@ def to_common_numerators(values: Sequence[RatLike]) -> tuple[list, int]:
 
 
 def from_common_numerators(nums: Sequence, den: int) -> list:
-    return [Rat(n, den) for n in nums]
+    # zeros are common in coefficient arrays and cost a gcd and an object each
+    return [Rat(n, den) if n else ZERO for n in nums]
