@@ -176,7 +176,8 @@ def write_samples_binary(path: str | Path, samples: np.ndarray) -> None:
     n, p = samples.shape
     with open(path, "wb") as fh:
         fh.write(_SAMPLES_HEADER.pack(SAMPLES_MAGIC, p, n))
-        fh.write(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+        # tofile writes the array's own buffer; tobytes() would copy it first
+        np.ascontiguousarray(samples, dtype="<f8").tofile(fh)
 
 
 def read_samples_binary(path: str | Path) -> np.ndarray:

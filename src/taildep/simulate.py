@@ -8,18 +8,31 @@ truncated series.
 
 Streams are counter-based (Philox) and seeded per block through spawn
 keys, so identical (seed, block size) produce bit-identical output and
-blocks are independent, which makes generation embarrassingly parallel
-and estimator merges associative.  All exceedance counting is strict
-(X > u).
+blocks are independent, which makes estimator merges associative.  All
+exceedance counting is strict (X > u).
+
+Inside a block, rows are drawn a fixed chunk at a time from the block's
+one generator; consecutive fills continue the same Philox stream, so a
+chunk boundary changes no value.  Each chunk becomes beta(J) / E_J in
+place (the same two IEEE operations per value whatever the chunking),
+is transposed to one row per atom, and each atom's row is folded into
+its components' running maxima; max is exact, so the fold order does not
+matter either.  Blocks run concurrently on a thread pool with one worker
+per available CPU (numpy's generator fills and ufuncs release the GIL)
+and write disjoint slices of the output, so the bytes returned depend on
+(model, n, seed, block size) only, never on the thread count or the
+chunk size.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .coeffs import HARD_MAX_P
 from .errors import DegenerateModel, DomainError
 from .rationals import RatLike, rat
 from .tm import (
@@ -32,6 +45,9 @@ from .tm import (
 )
 
 DEFAULT_BLOCK_SIZE = 1 << 16
+# Rows drawn and reduced at a time inside a block: the working set of one
+# chunk stays in cache, and the chunk size never changes the output.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,6 +76,13 @@ def sample_config(config: SimConfig) -> np.ndarray:
     )
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sample(
     model: TmModel,
     n: int,
@@ -69,7 +92,9 @@ def sample(
     """Draw n iid vectors from the model; returns an (n, p) float array.
 
     Component i is the max of beta(J) / E_J over atoms J containing i,
-    with E_J unit exponentials redrawn independently per sample.
+    with E_J unit exponentials redrawn independently per sample.  Blocks
+    are drawn concurrently on a thread pool; the result does not depend on
+    how many threads run.
     """
     if model.is_degenerate:
         raise DegenerateModel("cannot sample a model with all-zero weights")
@@ -77,27 +102,54 @@ def sample(
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     if n < 1:
         raise DomainError("n must be >= 1")
+    p = model.p
     support = model.support()
     weights = np.array([float(v) for _, v in support])
-    atoms_of = [
-        np.array([a for a, (mask, _) in enumerate(support) if mask >> i & 1], dtype=int)
-        for i in range(model.p)
-    ]
-    out = np.zeros((n, model.p))
+    members = [[i for i in range(p) if mask >> i & 1] for mask, _ in support]
     n_atoms = len(support)
-    start = 0
-    block_index = 0
-    while start < n:
-        take = min(block_size, n - start)
+    chunk = min(_CHUNK_ROWS, block_size, n)
+    out = np.zeros((n, p))
+
+    def fill(block_index: int) -> None:
+        start = block_index * block_size
+        stop = min(start + block_size, n)
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
         gen = np.random.Generator(np.random.Philox(ss))
-        z = 1.0 / gen.standard_exponential((take, n_atoms))
-        for i in range(model.p):
-            idx = atoms_of[i]
-            if idx.size:
-                out[start : start + take, i] = (z[:, idx] * weights[idx]).max(axis=1)
-        start += take
-        block_index += 1
+        z = np.empty((chunk, n_atoms))
+        zt = np.empty((n_atoms, chunk))
+        acc = np.empty((p, chunk))
+        for lo in range(start, stop, chunk):
+            rows = min(chunk, stop - lo)
+            zc, zr, ac = z[:rows], zt[:, :rows], acc[:, :rows]
+            gen.standard_exponential(out=zc)
+            np.divide(1.0, zc, out=zc)
+            zc *= weights
+            zr[...] = zc.T
+            ac.fill(0.0)
+            for a, comps in enumerate(members):
+                for i in comps:
+                    np.maximum(ac[i], zr[a], out=ac[i])
+            out[lo : lo + rows] = ac.T
+
+    n_blocks = -(-n // block_size)
+    workers = min(n_blocks, _available_cpus())
+
+    def fill_share(first: int) -> None:
+        # worker k takes blocks k, k + workers, ...: one task per worker, so
+        # a million one-row blocks queue no million futures
+        for block_index in range(first, n_blocks, workers):
+            fill(block_index)
+
+    if workers == 1:
+        fill_share(0)
+    else:
+        # imported on first use: concurrent.futures loads logging, which no
+        # other part of the package needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # list() re-raises the first exception a worker hit
+            list(pool.map(fill_share, range(workers)))
     return out
 
 
@@ -138,52 +190,54 @@ class EstimationReport:
     rows: tuple
 
 
-def estimate_lambda(
-    model: TmModel, samples: np.ndarray, subset: int, u: float
+def _estimate(
+    kind: str, model: TmModel, exc: np.ndarray, subset: int, u: float
 ) -> EstimationRow:
-    """u * fraction of samples with every component of the subset above u."""
+    """One row from the exceedance matrix exc = samples > u.
+
+    Samples are never NaN, so "all of the subset's columns exceed u" is
+    min > u and "some column exceeds u" is max > u.
+    """
     if not u > 0:
         raise DomainError("threshold u must be positive")
     bits = [i for i in range(model.p) if subset >> i & 1]
     if not bits:
         raise DomainError("subset must be nonempty")
-    n = samples.shape[0]
-    hits = int((samples[:, bits].min(axis=1) > u).sum())
+    n = exc.shape[0]
+    cols = exc[:, bits]
+    if kind == "lambda":
+        hits = np.count_nonzero(cols.all(axis=1))
+        exact = exact_joint_exceedance(model, subset, u)
+        limit = model.lambda_of(subset)
+    else:
+        hits = np.count_nonzero(cols.any(axis=1))
+        exact = exact_union_exceedance(model, subset, u)
+        limit = model.theta_of(subset)
     phat = hits / n
     return EstimationRow(
-        kind="lambda",
+        kind=kind,
         subset=subset,
         u=u,
         n=n,
         empirical=u * phat,
-        exact_finite_u=u * exact_joint_exceedance(model, subset, u),
-        asymptotic=float(model.lambda_of(subset)),
+        exact_finite_u=u * exact,
+        asymptotic=float(limit),
         std_error=u * float(np.sqrt(phat * (1 - phat) / n)),
     )
+
+
+def estimate_lambda(
+    model: TmModel, samples: np.ndarray, subset: int, u: float
+) -> EstimationRow:
+    """u * fraction of samples with every component of the subset above u."""
+    return _estimate("lambda", model, samples > u, subset, u)
 
 
 def estimate_theta(
     model: TmModel, samples: np.ndarray, subset: int, u: float
 ) -> EstimationRow:
     """u * fraction of samples with some component of the subset above u."""
-    if not u > 0:
-        raise DomainError("threshold u must be positive")
-    bits = [i for i in range(model.p) if subset >> i & 1]
-    if not bits:
-        raise DomainError("subset must be nonempty")
-    n = samples.shape[0]
-    hits = int((samples[:, bits].max(axis=1) > u).sum())
-    phat = hits / n
-    return EstimationRow(
-        kind="theta",
-        subset=subset,
-        u=u,
-        n=n,
-        empirical=u * phat,
-        exact_finite_u=u * exact_union_exceedance(model, subset, u),
-        asymptotic=float(model.theta_of(subset)),
-        std_error=u * float(np.sqrt(phat * (1 - phat) / n)),
-    )
+    return _estimate("theta", model, samples > u, subset, u)
 
 
 def estimation_report(
@@ -193,8 +247,9 @@ def estimation_report(
     lambda_subsets: Sequence[int] = (),
     theta_subsets: Sequence[int] = (),
 ) -> EstimationReport:
-    rows = [estimate_lambda(model, samples, s, u) for s in lambda_subsets]
-    rows += [estimate_theta(model, samples, s, u) for s in theta_subsets]
+    exc = samples > u
+    rows = [_estimate("lambda", model, exc, s, u) for s in lambda_subsets]
+    rows += [_estimate("theta", model, exc, s, u) for s in theta_subsets]
     return EstimationReport(u=u, n=samples.shape[0], rows=tuple(rows))
 
 
@@ -224,15 +279,24 @@ def exceedance_set_histogram(
 ) -> ExceedanceHistogram:
     if not u > 0:
         raise DomainError("threshold u must be positive")
-    p = samples.shape[1]
-    powers = (1 << np.arange(p)).astype(np.int64)
-    masks = (samples > u).astype(np.int64) @ powers
+    n, p = samples.shape
+    if p > HARD_MAX_P:
+        raise DomainError(f"p={p} exceeds the hard cap {HARD_MAX_P}")
+    # bit i of row r's mask is samples[r, i] > u.  Rows are padded to whole
+    # bytes so one flat packbits packs them (far faster than packing along
+    # axis 1), and HARD_MAX_P < 32, so four little-endian bytes hold a mask.
+    nbytes = -(-p // 8)
+    bits = np.zeros((n, 8 * nbytes), dtype=bool)
+    np.greater(samples, u, out=bits[:, :p])
+    packed = np.zeros((n, 4), dtype=np.uint8)
+    packed[:, :nbytes] = np.packbits(bits, bitorder="little").reshape(n, nbytes)
+    masks = packed.view("<u4").ravel()
     masks = masks[masks > 0]
     values, counts = np.unique(masks, return_counts=True)
     return ExceedanceHistogram(
         p=p,
         u=u,
-        n_total=samples.shape[0],
+        n_total=n,
         n_nonempty=int(masks.size),
         counts=tuple((int(m), int(c)) for m, c in zip(values, counts)),
     )

@@ -37,7 +37,7 @@ from .errors import (
     InvalidPmf,
     ScaleTooSmall,
 )
-from .rationals import Rat, RatLike, ZERO, rat
+from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
 from .subsets import set_str
 
 
@@ -194,21 +194,36 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     as expm1 = exp - 1 without changing the sum.  At large u every exp term
     rounds to 1 and their sum cancels to nothing, while each expm1 term
     keeps -theta(S) / u to full relative precision.
+
+    Every theta(S) comes from one table: each atom's integer numerator
+    (over the support's common denominator) is added at the atom's trace on
+    the subset, one subset-sum pass turns that into the weight of atoms
+    whose trace lies inside T, and theta(S) is the total minus that weight
+    at T = subset minus S.  The int true division numerator / denominator
+    rounds correctly, as float() of the exact rational does.
     """
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
     if subset == 0 or subset >= (1 << model.p):
         raise DomainError(f"subset mask {subset} out of range")
     support = model.support()
-    bits = [1 << i for i in range(model.p) if subset >> i & 1]
+    nums, den = to_common_numerators([v for _, v in support])
+    bits = [i for i in range(model.p) if subset >> i & 1]
+    full = (1 << len(bits)) - 1
+    inside = [0] * (full + 1)
+    for (mask, _), num in zip(support, nums):
+        trace = sum(1 << t for t, i in enumerate(bits) if mask >> i & 1)
+        inside[trace] += num
+    for t in range(len(bits)):
+        step = 1 << t
+        for cell in range(full + 1):
+            if cell & step:
+                inside[cell] += inside[cell ^ step]
+    total = inside[full]
     acc = 0.0
-    for pick in range(1 << len(bits)):
-        s_mask = 0
-        for t, bit in enumerate(bits):
-            if pick >> t & 1:
-                s_mask |= bit
-        theta_s = sum((v for m, v in support if m & s_mask), ZERO)
-        term = math.expm1(-float(theta_s) / u)
+    for pick in range(full + 1):
+        theta_s = (total - inside[full ^ pick]) / den
+        term = math.expm1(-theta_s / u)
         acc += term if pick.bit_count() % 2 == 0 else -term
     return acc
 

@@ -5,15 +5,21 @@ pinned seeds pass deterministically, with the binomial standard error as
 the yardstick.
 """
 
+import hashlib
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
+from oracles import reference_sample
+from taildep import simulate
 from taildep.errors import DegenerateModel, DomainError
-from taildep.instances import comonotone_model, independence_model
+from taildep.instances import comonotone_model, independence_model, line_fixture_model
 from taildep.rationals import rat
 from taildep.simulate import (
+    DEFAULT_BLOCK_SIZE,
     SimConfig,
     estimate_lambda,
     estimate_theta,
@@ -85,6 +91,66 @@ class TestSampling:
         assert (xs[:, 1] == 0).all()
 
 
+def _p8_model(n_atoms=60, seed=8):
+    rng = random.Random(seed)
+    masks = {255}
+    while len(masks) < n_atoms:
+        masks.add(rng.randrange(1, 255))
+    return TmModel.from_entries(8, {m: rat(rng.randint(1, 16), 16) for m in masks})
+
+
+# sha256 of sample(line_fixture_model(), 10_000, seed=3), recorded from the
+# per-block sampler in tests/oracles.py before the chunked kernel replaced
+# it, so the oracle cannot drift along with the code
+LINE_SEED3_SHA256 = "3cf16258c9e389cf74546ae3dbfd73aa5e208c1be146d0e8232b0867bdc3f598"
+
+
+class TestSamplerBytes:
+    """The sampler returns exactly the bytes of the per-block reference loop."""
+
+    @pytest.mark.parametrize(
+        "model, n, block_size",
+        [
+            (line_fixture_model(), 10_007, 3000),  # ragged blocks and chunks
+            (line_fixture_model(), 100, DEFAULT_BLOCK_SIZE),  # below one chunk
+            (line_fixture_model(), 50, 1),
+            (line_fixture_model(), 20_000, 1000),
+            (TmModel.from_entries(3, {1: rat(1, 2), 5: 2}), 9_000, 4096),  # zero marginal
+            (TmModel.from_entries(1, {1: rat(3, 4)}), 5_000, 1024),  # p = 1
+            (_p8_model(), 70_001, DEFAULT_BLOCK_SIZE),  # 60 atoms, two blocks
+        ],
+        ids=["ragged", "below-chunk", "block-1", "block-1000", "zero-marginal", "p1", "p8"],
+    )
+    def test_matches_reference_loop(self, model, n, block_size):
+        got = sample(model, n, seed=17, block_size=block_size)
+        assert got.tobytes() == reference_sample(model, n, 17, block_size).tobytes()
+
+    def test_pinned_digest(self):
+        xs = sample(line_fixture_model(), 10_000, seed=3)
+        assert hashlib.sha256(xs.tobytes()).hexdigest() == LINE_SEED3_SHA256
+        ref = reference_sample(line_fixture_model(), 10_000, 3, DEFAULT_BLOCK_SIZE)
+        assert hashlib.sha256(ref.tobytes()).hexdigest() == LINE_SEED3_SHA256
+
+    def test_threaded_calls_repeat_exactly(self):
+        model = _p8_model()
+        a = sample(model, 40_000, seed=5, block_size=5000)
+        b = sample(model, 40_000, seed=5, block_size=5000)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_thread_count_does_not_change_bytes(self, monkeypatch, cpus):
+        # more workers than cores, switching threads as often as possible
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: cpus)
+        model = _p8_model()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sample(model, 30_000, seed=6, block_size=2000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == reference_sample(model, 30_000, 6, 2000).tobytes()
+
+
 class TestEstimators:
     def test_line_pair_13_within_3se_of_finite_u_reference(self, line_model):
         xs = sample(line_model, 10**6, seed=7)
@@ -128,6 +194,16 @@ class TestEstimators:
             misses += any(row.deviation_in_se() > 4.0 for row in rep.rows)
         assert misses <= 1
 
+    def test_report_rows_equal_wrapper_rows(self):
+        model = _p8_model()
+        xs = sample(model, 50_000, seed=4)
+        lam = [1 << i for i in range(8)] + [255, 0b1011]
+        theta = [255, 0b110]
+        rep = estimation_report(model, xs, 3.0, lam, theta)
+        expected = [estimate_lambda(model, xs, s, 3.0) for s in lam]
+        expected += [estimate_theta(model, xs, s, 3.0) for s in theta]
+        assert list(rep.rows) == expected
+
     def test_bad_threshold_and_empty_subset(self, line_model):
         xs = sample(line_model, 100, seed=0)
         with pytest.raises(DomainError):
@@ -151,6 +227,18 @@ class TestExceedanceHistogram:
         hist = exceedance_set_histogram(xs, 100.0)
         tv = tv_distance(hist, exceedance_set_dist(line_model))
         assert tv < 0.01
+
+    @pytest.mark.parametrize("p", [7, 8])  # rows padded to a byte, or not
+    def test_masks_match_bitwise_sum(self, p):
+        xs = sample(_p8_model(), 50_000, seed=12)[:, :p]
+        hist = exceedance_set_histogram(xs, 2.0)
+        masks = (xs > 2.0).astype(np.int64) @ (1 << np.arange(p))
+        values, counts = np.unique(masks[masks > 0], return_counts=True)
+        assert hist.counts == tuple(zip(values.tolist(), counts.tolist()))
+
+    def test_more_components_than_masks_hold_rejected(self):
+        with pytest.raises(DomainError):
+            exceedance_set_histogram(np.ones((4, 27)), 0.5)
 
     def test_comonotone_concentrates_on_full_set(self):
         model = comonotone_model(3, scale=2)

@@ -33,7 +33,7 @@ from taildep.tm import (
     tensor_from_model,
 )
 
-from oracles import brute_bernoulli_moment
+from oracles import brute_bernoulli_moment, reference_joint_exceedance
 
 
 class TestSynthesize:
@@ -177,6 +177,30 @@ def test_joint_exceedance_matches_mpmath_up_to_1e300(case):
     exact = _mp_joint_exceedance(model.support(), subset, u)
     value = exact_joint_exceedance(model, subset, u)
     assert abs(value - float(exact)) <= 1e-9 * float(exact)
+
+
+@st.composite
+def _random_model_subset_threshold(draw):
+    p = draw(st.integers(1, 8))
+    entries = draw(
+        st.dictionaries(
+            st.integers(1, (1 << p) - 1),
+            st.fractions(min_value=0, max_value=20, max_denominator=60).filter(bool),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    model = TmModel.from_entries(p, {m: rat(v) for m, v in entries.items()})
+    subset = draw(st.integers(1, (1 << p) - 1))
+    u = 10.0 ** draw(st.floats(0.2, 300))
+    return model, subset, u
+
+
+@given(_random_model_subset_threshold())
+def test_joint_exceedance_equals_per_submask_sums(case):
+    model, subset, u = case
+    value = exact_joint_exceedance(model, subset, u)
+    assert value == reference_joint_exceedance(model, subset, u)
 
 
 class TestExceedanceSetDist:
