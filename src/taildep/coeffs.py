@@ -26,7 +26,7 @@ to realizability questions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -41,7 +41,7 @@ from .rationals import (
     rat,
     to_common_numerators,
 )
-from .subsets import full_mask, set_str
+from .subsets import set_str
 
 HARD_MAX_P = 26
 DEFAULT_SOFT_MAX_P = 16
@@ -74,7 +74,27 @@ class Kind(Enum):
     RAW = "raw"
 
 
-@dataclass(frozen=True)
+def _common_numerators(values: Sequence[RatLike]) -> tuple[tuple, int]:
+    nums, den = to_common_numerators(values)
+    return tuple(nums), den
+
+
+def _init(fn: "SubsetFn", p: int, kind: Kind, values, common) -> None:
+    """Fill a SubsetFn's slots; a BETA system must have no negative numerator."""
+    if kind is Kind.BETA:
+        nums = common[0]
+        if min(nums) < 0:
+            bad = [m + 1 for m, n in enumerate(nums) if n < 0]
+            raise InvalidBeta(
+                "negative beta entries at subsets "
+                + ", ".join(set_str(m) for m in bad[:8])
+            )
+    object.__setattr__(fn, "p", p)
+    object.__setattr__(fn, "kind", kind)
+    object.__setattr__(fn, "_values", values)
+    object.__setattr__(fn, "_common", common)
+
+
 class SubsetFn:
     """A function on the nonempty subsets of {1, ..., p}.
 
@@ -83,28 +103,68 @@ class SubsetFn:
     rationals.  ``kind`` tags the coordinate system; kind BETA enforces
     nonnegativity at construction, kind RAW carries arbitrary signs
     (e.g. a failed inversion).
+
+    Instances are immutable.  Alongside (or instead of) the rationals an
+    instance keeps its values as integer numerators over one common
+    denominator, the form the lattice transforms compute in: a transform's
+    result builds its rationals only when ``values`` is first read, so a
+    chain such as beta -> lambda -> beta builds none for the middle system.
     """
 
-    p: int
-    values: tuple
-    kind: Kind
+    __slots__ = ("p", "kind", "_values", "_common")
 
-    def __post_init__(self) -> None:
-        check_dimension(self.p, allow_large=True)
-        n = (1 << self.p) - 1
-        if len(self.values) != n:
-            raise ValueError(
-                f"expected {n} values for p={self.p}, got {len(self.values)}"
-            )
-        if self.kind is Kind.BETA:
-            # the sign of the numerator: several times cheaper than a
-            # Fraction comparison with 0, and exact for every Rat and int
-            bad = [m + 1 for m, v in enumerate(self.values) if v.numerator < 0]
-            if bad:
-                raise InvalidBeta(
-                    "negative beta entries at subsets "
-                    + ", ".join(set_str(m) for m in bad[:8])
-                )
+    def __init__(self, p: int, values: tuple, kind: Kind) -> None:
+        check_dimension(p, allow_large=True)
+        n = (1 << p) - 1
+        if len(values) != n:
+            raise ValueError(f"expected {n} values for p={p}, got {len(values)}")
+        # BETA's sign check reads the integer numerators, which every
+        # transform of this system needs next
+        common = _common_numerators(values) if kind is Kind.BETA else None
+        _init(self, p, kind, values, common)
+
+    @classmethod
+    def _from_numerators(
+        cls, p: int, nums: Sequence[int], den: int, kind: Kind
+    ) -> "SubsetFn":
+        """Wrap 2**p - 1 integer numerators over ``den`` > 0 (a transform's
+        result); the rationals are built on first read of ``values``."""
+        fn = object.__new__(cls)
+        _init(fn, p, kind, None, (tuple(nums), den))
+        return fn
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            nums, den = self._common
+            object.__setattr__(self, "_values", tuple(from_common_numerators(nums, den)))
+        return self._values
+
+    def _numerators(self) -> tuple[Sequence[int], int]:
+        """(integer numerators over a common denominator, that denominator)."""
+        if self._common is None:
+            object.__setattr__(self, "_common", _common_numerators(self._values))
+        return self._common
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.values, self.kind) == (other.p, other.values, other.kind)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.values, self.kind))
+
+    def __repr__(self) -> str:
+        return f"SubsetFn(p={self.p!r}, values={self.values!r}, kind={self.kind!r})"
+
+    def __reduce__(self):
+        return (SubsetFn, (self.p, self.values, self.kind))
 
     # -- construction -----------------------------------------------------
 
@@ -201,23 +261,31 @@ def linear_combination(
 # All four primitive transforms are addition-only butterflies over the full
 # subset lattice (length 2**p, index 0 = empty set), so they preserve any
 # common denominator.  We therefore hoist the values to integer numerators
-# over lcm(denominators), run the butterfly on plain ints, and rebuild
-# rationals once at the end; this is several times faster than transforming
-# rationals directly.
+# over lcm(denominators), run the butterfly on integers, and hand the result
+# on as numerators (`SubsetFn._from_numerators`); this is several times
+# faster than transforming rationals directly.  With index = bitmask, the
+# complement of mask m is fm - m, so reversing a full-lattice list maps each
+# subset's entry to its complement's.
 # ---------------------------------------------------------------------------
 
 
-def _butterfly(nums: list, p: int, *, superset: bool, invert: bool) -> None:
-    """In-place zeta / Moebius transform on a full-lattice integer array.
+_INT64_MAX = (1 << 63) - 1
+
+
+def _butterfly(nums: Sequence[int], p: int, *, superset: bool, invert: bool) -> list:
+    """Zeta / Moebius transform of a full-lattice integer list (a new list).
 
     superset=True:  g(S) = sum_{T >= S} f(T)   (invert: alternating signs)
     superset=False: g(S) = sum_{T <= S} f(T)   (invert: alternating signs)
 
-    Runs the butterfly on a numpy object array so the block loop happens in
-    C while the entries stay exact arbitrary-precision integers; the halves
-    combined at each level are disjoint views, so in-place ops are safe.
+    Runs the butterfly on a numpy array so the block loop happens in C; the
+    halves combined at each level are disjoint views, so in-place ops are
+    safe.  Every entry at every level is a signed sum of distinct inputs, so
+    no value exceeds sum(|nums|): when that fits in int64 the adds are exact
+    machine adds, otherwise an object array carries arbitrary-precision ints.
     """
-    arr = np.array(nums, dtype=object)
+    dtype = np.int64 if sum(map(abs, nums)) <= _INT64_MAX else object
+    arr = np.array(nums, dtype=dtype)
     for i in range(p):
         block = arr.reshape(-1, 2, 1 << i)
         if superset:
@@ -230,20 +298,7 @@ def _butterfly(nums: list, p: int, *, superset: bool, invert: bool) -> None:
                 block[:, 1, :] -= block[:, 0, :]
             else:
                 block[:, 1, :] += block[:, 0, :]
-    nums[:] = arr.tolist()
-
-
-def _transform_values(
-    values: Sequence[Rat], p: int, *, superset: bool, invert: bool
-) -> list:
-    """Apply a lattice transform to the 2**p - 1 nonempty-subset values.
-
-    The empty set participates with value 0 and is stripped again on return.
-    """
-    nums, den = to_common_numerators(values)
-    full = [0] + nums
-    _butterfly(full, p, superset=superset, invert=invert)
-    return from_common_numerators(full[1:], den)
+    return arr.tolist()
 
 
 def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
@@ -251,11 +306,11 @@ def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
         raise ValueError(f"{op} expects a {expected.value}-kind input, got {fn.kind.value}")
 
 
-def _tag_beta(p: int, values: Sequence[Rat]) -> SubsetFn:
-    """Tag an inversion result: BETA when nonnegative, RAW otherwise."""
-    if any(v.numerator < 0 for v in values):
-        return SubsetFn(p, tuple(values), Kind.RAW)
-    return SubsetFn(p, tuple(values), Kind.BETA)
+def _tag_beta(p: int, nums: Sequence[int], den: int) -> SubsetFn:
+    """Tag an inversion result given as numerators over ``den`` > 0:
+    BETA when nonnegative, RAW otherwise."""
+    kind = Kind.RAW if min(nums) < 0 else Kind.BETA
+    return SubsetFn._from_numerators(p, nums, den, kind)
 
 
 # -- beta -> lambda / theta -------------------------------------------------
@@ -265,8 +320,9 @@ def lambda_from_beta(beta: SubsetFn) -> SubsetFn:
     """lambda(L) = sum of beta(J) over supersets J of L (superset-sum transform)."""
     if beta.kind is not Kind.BETA:
         raise InvalidBeta(f"lambda_from_beta expects kind beta, got {beta.kind.value}")
-    vals = _transform_values(beta.values, beta.p, superset=True, invert=False)
-    return SubsetFn(beta.p, tuple(vals), Kind.LAMBDA)
+    nums, den = beta._numerators()
+    full = _butterfly([0, *nums], beta.p, superset=True, invert=False)
+    return SubsetFn._from_numerators(beta.p, full[1:], den, Kind.LAMBDA)
 
 
 def theta_from_beta(beta: SubsetFn) -> SubsetFn:
@@ -276,14 +332,12 @@ def theta_from_beta(beta: SubsetFn) -> SubsetFn:
     """
     if beta.kind is not Kind.BETA:
         raise InvalidBeta(f"theta_from_beta expects kind beta, got {beta.kind.value}")
-    p = beta.p
-    nums, den = to_common_numerators(beta.values)
-    full = [0] + nums
-    total = sum(nums)
-    _butterfly(full, p, superset=False, invert=False)
-    fm = full_mask(p)
-    out = [Rat(total - full[fm ^ mask], den) for mask in range(1, fm + 1)]
-    return SubsetFn(p, tuple(out), Kind.THETA)
+    nums, den = beta._numerators()
+    full = _butterfly([0, *nums], beta.p, superset=False, invert=False)
+    total = full[-1]
+    # masks 1..fm read the sums at their complements fm-1..0
+    out = [total - s for s in full[-2::-1]]
+    return SubsetFn._from_numerators(beta.p, out, den, Kind.THETA)
 
 
 # -- lambda / theta -> beta (Moebius inversions) -----------------------------
@@ -296,8 +350,9 @@ def beta_from_lambda(lam: SubsetFn) -> SubsetFn:
     tagged kind RAW and localized via ``negative_masks()``.
     """
     _require_kind(lam, Kind.LAMBDA, "beta_from_lambda")
-    vals = _transform_values(lam.values, lam.p, superset=True, invert=True)
-    return _tag_beta(lam.p, vals)
+    nums, den = lam._numerators()
+    full = _butterfly([0, *nums], lam.p, superset=True, invert=True)
+    return _tag_beta(lam.p, full[1:], den)
 
 
 def beta_from_theta(theta: SubsetFn) -> SubsetFn:
@@ -310,14 +365,10 @@ def beta_from_theta(theta: SubsetFn) -> SubsetFn:
         beta(J) = - sum_{R <= J} (-1)^{|J \\ R|} theta([p] \\ R).
     """
     _require_kind(theta, Kind.THETA, "beta_from_theta")
-    p = theta.p
-    fm = full_mask(p)
-    nums, den = to_common_numerators(theta.values)
-    # g[R] = theta(complement R); complement of the full mask is empty -> 0.
-    g = [nums[(fm ^ mask) - 1] for mask in range(fm)] + [0]
-    _butterfly(g, p, superset=False, invert=True)
-    vals = from_common_numerators([-g[mask] for mask in range(1, fm + 1)], den)
-    return _tag_beta(p, vals)
+    nums, den = theta._numerators()
+    # g[R] = theta(complement R) for R = 0..fm-1; complement of fm is empty -> 0
+    g = _butterfly([*nums[::-1], 0], theta.p, superset=False, invert=True)
+    return _tag_beta(theta.p, [-v for v in g[1:]], den)
 
 
 # -- theta <-> lambda (inclusion-exclusion) ----------------------------------
@@ -330,15 +381,13 @@ def _signed_subset_sum(fn: SubsetFn, out_kind: Kind) -> SubsetFn:
     same involution.
     """
     p = fn.p
-    nums, den = to_common_numerators(fn.values)
+    nums, den = fn._numerators()
     signed = [0] + [
         n if (mask.bit_count() & 1) else -n
         for mask, n in zip(range(1, 1 << p), nums)
     ]
-    _butterfly(signed, p, superset=False, invert=False)
-    return SubsetFn(
-        p, tuple(from_common_numerators(signed[1:], den)), out_kind
-    )
+    full = _butterfly(signed, p, superset=False, invert=False)
+    return SubsetFn._from_numerators(p, full[1:], den, out_kind)
 
 
 def theta_from_lambda(lam: SubsetFn) -> SubsetFn:

@@ -74,14 +74,49 @@ def to_common_numerators(values: Sequence[RatLike]) -> tuple[list, int]:
     Denominators in real inputs repeat heavily, so the per-denominator
     scale factors are computed once each.
     """
-    dens = {v.denominator for v in values}
+    # one method call per value reads both parts (two property reads on a
+    # Fraction cost about twice as much)
+    pairs = [v.as_integer_ratio() for v in values]
+    dens = {d for _, d in pairs}
     den = reduce(math.lcm, (int(d) for d in dens), 1)
-    # plain Python ints: numpy object arrays build ~50x faster from them
-    # than from gmpy2 integers, and the butterflies add them just as fast
     scale = {d: den // int(d) for d in dens}
-    return [int(v.numerator) * scale[v.denominator] for v in values], den
+    if _HAVE_GMPY2:
+        # plain Python ints: numpy object arrays build ~50x faster from them
+        # than from gmpy2 integers, and the butterflies add them just as fast
+        return [int(n) * scale[d] for n, d in pairs], den
+    return [n * scale[d] for n, d in pairs], den
+
+
+if _HAVE_GMPY2:
+
+    def _reduced(num: int, den: int) -> Rat:
+        return Rat(num, den)
+
+else:
+    _new_object = object.__new__
+
+    def _reduced(num: int, den: int) -> Rat:
+        """Build num/den from coprime ints with den > 0, skipping normalization.
+
+        ``Fraction(num, den)`` re-checks its argument types and takes the gcd
+        again in Python, about 3x the cost of filling the two slots directly
+        (Python 3.12 ships the same shortcut as ``Fraction._from_coprime_ints``).
+        """
+        q = _new_object(Fraction)
+        q._numerator = num
+        q._denominator = den
+        return q
 
 
 def from_common_numerators(nums: Sequence, den: int) -> list:
-    # zeros are common in coefficient arrays and cost a gcd and an object each
-    return [Rat(n, den) if n else ZERO for n in nums]
+    """Return the rationals n/den for integer numerators n over ``den`` > 0."""
+    gcd = math.gcd
+    out = []
+    for n in nums:
+        if n:
+            g = gcd(n, den)
+            out.append(_reduced(n // g, den // g))
+        else:
+            # zeros are common in coefficient arrays: share one object
+            out.append(ZERO)
+    return out

@@ -1,5 +1,8 @@
 """Subset coefficient algebra: frozen examples, oracles, and properties."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -218,6 +221,41 @@ def test_round_trips_and_cross_consistency(beta):
     assert beta_from_theta(th).values == beta.values
     assert theta_from_lambda(lam).values == th.values
     assert lambda_from_theta(th).values == lam.values
+
+
+@given(beta_systems(max_p=5), st.integers(min_value=60, max_value=200))
+def test_transforms_exact_beyond_int64(beta, bits):
+    # numerators past 2**63 take the arbitrary-precision butterfly
+    big = beta.scaled(rat((1 << bits) + 1, 3))
+    lam, th = lambda_from_beta(big), theta_from_beta(big)
+    assert lam.values == brute_lambda_from_beta(big).values
+    assert th.values == brute_theta_from_beta(big).values
+    assert beta_from_lambda(lam).values == big.values
+    assert beta_from_theta(th).values == big.values
+    assert theta_from_lambda(lam).values == th.values
+
+
+@pytest.mark.parametrize("total", [(1 << 63) - 1, 1 << 63])
+def test_transforms_exact_at_int64_limit(total):
+    # lambda({1}) and theta({1,2}) both equal the total
+    beta = SubsetFn.from_values(2, [total - 1, 0, 1], Kind.BETA)
+    lam, th = lambda_from_beta(beta), theta_from_beta(beta)
+    assert lam.values == brute_lambda_from_beta(beta).values
+    assert th.values == brute_theta_from_beta(beta).values
+    assert lam[1] == th[3] == total
+    assert beta_from_lambda(lam).values == beta_from_theta(th).values == beta.values
+
+
+def test_transform_results_behave_like_built_systems():
+    beta = line_fixture_model().beta
+    for fn in (lambda_from_beta(beta), theta_from_beta(beta)):
+        built = SubsetFn(fn.p, tuple(fn.values), fn.kind)
+        assert fn == built and hash(fn) == hash(built) and repr(fn) == repr(built)
+        assert pickle.loads(pickle.dumps(fn)) == fn
+        with pytest.raises(FrozenInstanceError):
+            fn.kind = Kind.RAW
+    raw = beta_from_lambda(lambda_from_beta(beta).scaled(-1))
+    assert raw.kind is Kind.RAW and raw.negative_masks()
 
 
 @given(beta_systems(max_p=6))
