@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Study a line metric end to end: detection, model, uniqueness probe.
+"""Study a line metric end to end: detection, model, uniqueness proof.
 
 Example:
     python scripts/line_metric_study.py --weights 1,2 --marginals 2,2,2
@@ -8,6 +8,7 @@ Example:
 
 import argparse
 import random
+import sys
 
 from taildep import (
     detect_line_metric,
@@ -49,7 +50,9 @@ def main() -> None:
     print(f"marginals: {[rat_str(m) for m in marginals]}")
 
     cert = detect_line_metric(d)
-    assert isinstance(cert, LineMetricCert)
+    if not isinstance(cert, LineMetricCert):
+        print(f"internal error: generated metric not detected as a line: {cert.describe()}")
+        sys.exit(1)
     built = line_tm_model(cert, marginals)
     if not isinstance(built, LineTmModel):
         print(f"not realizable at these marginals: {built.describe()}")
@@ -65,12 +68,15 @@ def main() -> None:
         lam = higher_order_from_line(built, mask)
         print(f"  lambda({set(labels_of(mask))}) = {rat_str(lam)}")
 
-    print(f"\nuniqueness probe under {args.trials} objectives:")
+    print("\ncut weights over all decompositions:")
     report = rigidity_probe(d, trials=args.trials, seed=args.seed)
     for mask, lo, hi in report.ranges:
         tag = "" if lo == hi else "   <-- non-unique!"
         print(f"  cut {set(labels_of(mask))}: [{rat_str(lo)}, {rat_str(hi)}]{tag}")
-    print(f"rigid-consistent: {report.rigid_consistent}")
+    if report.certificate is not None:
+        print(f"uniqueness proved: dual certificate of length {len(report.certificate)}")
+    else:
+        print("uniqueness disproved: two different decompositions found")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,13 @@ Farkas certificate when the optimum is positive:
 
 checkable by anyone without trusting this solver.  After a feasible phase
 one, arbitrary linear objectives can be optimized warm-started from the
-current basis, which is what the decomposition-uniqueness probing needs.
+current basis, which is what the decomposition-uniqueness decider needs.
+Each optimization also leaves its optimal dual multipliers in ``dual``:
+
+    y with  y' A_j <= c_j for every column j  and  y' b = min c'x
+
+(for ``maximize``, y' A_j >= c_j and y' b = max c'x), again a certificate
+of optimality that anyone can check.
 
 Integer tableau.  The system is scaled to integers once: A by the lcm of
 its denominators, b by the lcm of its own, each factor uniform over all
@@ -28,7 +34,15 @@ phase-one row and the phase-two reduced-cost row (with costs scaled to
 integers once) are updated by the same formula.  Ratio and lexicographic
 tests compare N[i][j] / N[i][col] by cross-multiplication, so no gcd is
 ever taken inside the loops; rationals are built only for the witness, the
-Farkas vector and the optimum value.
+Farkas vector, the dual multipliers and the optimum value.
+
+Dual read-out.  The tableau keeps its artificial columns after phase one:
+they hold B^-1 (the basis inverse of the row-scaled system, up to D), and
+since the reduced-cost row is carried across them with zero cost, its
+entries there are minus the current multipliers, -c_B' B^-1.  Phase two
+never prices them, so no pivot changes; the lexicographic ratio test
+reaches them only after every structural column, and by then the basic
+identity block has already told any two rows apart.
 
 What carries over from the rational tableau.  Scaling b by a factor
 scales the right-hand-side column and nothing else.  Scaling A by a factor
@@ -76,8 +90,9 @@ class ExactSimplex:
     """Equality-form tableau simplex over exact rationals, on integers inside.
 
     Construction runs phase one immediately.  When feasible, the artificial
-    columns are eliminated (redundant rows dropped) and ``minimize`` /
-    ``maximize`` re-optimize from the current basis.
+    variables are driven out of the basis (redundant rows dropped) and
+    ``minimize`` / ``maximize`` re-optimize from the current basis, leaving
+    the optimal multipliers of the original rows in ``dual``.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence) -> None:
@@ -113,6 +128,7 @@ class ExactSimplex:
         self._D = 1
         self._basis = [n + i for i in range(m)]
         self.farkas: list | None = None
+        self.dual: list | None = None
         self.feasible = self._phase_one(m)
         if self.feasible:
             self._eliminate_artificials()
@@ -207,7 +223,8 @@ class ExactSimplex:
 
         All artificials sit at level 0 here, so any pivot on a nonzero
         structural entry of their row is feasibility-preserving.  A row with
-        no structural entry left is a redundant original constraint.
+        no structural entry left is a redundant original constraint.  The
+        artificial columns stay in the tableau for the dual read-out.
         """
         N = self._N
         n = self.n
@@ -219,8 +236,18 @@ class ExactSimplex:
                     continue  # redundant row
                 self._pivot(i, col)
             keep.append(i)
-        self._N = [N[i][:n] + N[i][-1:] for i in keep]
+        self._N = [N[i] for i in keep]
         self._basis = [self._basis[i] for i in keep]
+
+    def copy(self) -> "ExactSimplex":
+        """An independent solver at the same basis; optimizing one leaves the
+        other where it was.  Pivots replace rows rather than mutate them, so
+        the rows are shared."""
+        twin = object.__new__(ExactSimplex)
+        twin.__dict__.update(self.__dict__)
+        twin._N = list(self._N)
+        twin._basis = list(self._basis)
+        return twin
 
     # -- extraction ------------------------------------------------------------
 
@@ -242,13 +269,15 @@ class ExactSimplex:
         if len(costs) != self.n:
             raise ValueError(f"expected {self.n} costs, got {len(costs)}")
         n = self.n
+        signs = self._signs
         c, scale = to_common_numerators([_exact(v) for v in costs])
         N = self._N
-        # rc / (scale * D) = c - c_B' B^-1 [A | b] of the scaled system,
-        # with zero cost on b: the reduced costs, then minus the objective
-        # value in the scaled variables.
+        # rc / (scale * D) = c - c_B' B^-1 [A | I | b] of the scaled system,
+        # with zero cost on the artificials and on b: the reduced costs,
+        # minus the multipliers, then minus the objective value in the
+        # scaled variables.
         D = self._D
-        rc = [cj * D for cj in c] + [0]
+        rc = [cj * D for cj in c] + [0] * (len(signs) + 1)
         for i, j in enumerate(self._basis):
             f = c[j]
             if f:
@@ -262,11 +291,17 @@ class ExactSimplex:
             if leave < 0:
                 raise UnboundedObjective("objective unbounded over the feasible cone")
             rc = self._pivot(leave, col, rc)
-        value = Rat(-rc[-1] * self._scale_a, scale * self._D * self._scale_b)
+        D = self._D
+        # Undo the row signs and the two scalings: y_i of the original rows.
+        self.dual = [
+            Rat(-s * rc[n + i] * self._scale_a, scale * D) for i, s in enumerate(signs)
+        ]
+        value = Rat(-rc[-1] * self._scale_a, scale * D * self._scale_b)
         return value, self.witness()
 
     def maximize(self, costs: Sequence) -> tuple[Rat, list]:
         value, x = self.minimize([-rat(v) for v in costs])
+        self.dual = [-v for v in self.dual]
         return -value, x
 
 

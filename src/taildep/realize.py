@@ -90,7 +90,7 @@ class FeasibilityOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Constraint-system builders (shared with the uniqueness probe).
+# Constraint-system builders (shared with the uniqueness decider).
 # ---------------------------------------------------------------------------
 
 

@@ -10,8 +10,10 @@ weights: the pair {J, J^c} carries beta(J) + beta(J^c), and the full index
 set is pure slack (it never separates a pair).  This module validates
 semimetrics, extracts cut decompositions from models, recognizes line
 metrics, builds the unique model a line metric induces at given marginal
-scales, and probes decomposition uniqueness by re-solving the cut system
-under many objectives.
+scales, and decides decomposition uniqueness exactly: one linear program
+over the cut system, answered with a checked dual certificate when the
+decomposition is unique and with two differing decompositions when it is
+not.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 from .coeffs import TdMatrix, spectral_distance_entry
 from .errors import InternalError, MalformedMatrix, NotInCutCone
-from .rationals import Rat, RatLike, ZERO, rat
+from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
 from .subsets import full_mask, set_str
 from .tm import TmModel
 
@@ -333,17 +335,26 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition-uniqueness probing.
+# Decomposition uniqueness.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Observed weight ranges of the cut system under many objectives.
+    """Cut-weight ranges of a semimetric's decompositions, with a verdict.
 
-    A nondegenerate range is a *proof* of non-uniqueness (two explicit
-    decompositions differ on that cut); all-degenerate ranges are evidence
-    of uniqueness only, since unprobed objectives might still separate.
+    A rigid report (unique decomposition) is a *proof*: its ranges are the
+    one decomposition x*, and ``certificate`` holds multipliers y, one per
+    pair (i, j), i < j, in lexicographic order (the rows of
+    ``realize.cut_system``), with y'A_J >= 1 for every cut J outside the
+    support of x*, y'A_J >= 0 for the cuts inside it, and y'd = 0.  Any
+    decomposition x then has sum of x_J over cuts outside the support
+    <= y'A x = y'd = 0, so it lives on the support, whose cut vectors are
+    linearly independent (they are basic in the simplex that found x*).
+    A non-rigid report carries two differing decompositions in
+    ``witness_pair``, which is a proof of non-uniqueness, and its ranges
+    are those observed under the probe's objectives; ``certificate`` is
+    None.
     """
 
     p: int
@@ -351,26 +362,67 @@ class RigidityReport:
     rigid_consistent: bool
     witness_pair: tuple | None  # (CutDecomposition, CutDecomposition) differing
     objectives_used: int
+    certificate: tuple | None = None  # dual y proving uniqueness, when rigid
+
+
+def _check_uniqueness_certificate(
+    rows: list[list[int]], rhs: list, outside: list[int], y: list
+) -> None:
+    """Integer check of y'A_j >= outside_j for every column and y'b = 0."""
+    ys, q = to_common_numerators(y)  # y = ys / q, q > 0
+    bs, _ = to_common_numerators(rhs)
+    if sum(a * b for a, b in zip(ys, bs)) != 0:
+        raise InternalError("uniqueness certificate: y'd != 0")
+    loads = [0] * len(outside)  # q * y'A_j
+    for a, row in zip(ys, rows):
+        if a:
+            loads = [load + a * c for load, c in zip(loads, row)]
+    for j, (load, out) in enumerate(zip(loads, outside)):
+        if load < q * out:
+            raise InternalError(f"uniqueness certificate fails on cut column {j}")
 
 
 def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityReport:
-    """Re-solve the cut-decomposition system under ``trials`` objectives.
+    """Decide whether d has exactly one cut decomposition, with a proof.
 
-    Objectives alternate between single-cut min/max pairs (cycling through
-    the canonical cuts) and seeded random integer cost vectors.  Requires d
-    to be decomposable at all.
+    Phase one of the cut system gives a decomposition x* with support S,
+    which lies inside the simplex basis, so the cut vectors of S are
+    linearly independent.  One warm-started LP maximizes the total weight
+    outside S: the decomposition is unique iff that optimum is 0, and its
+    dual is then the report's certificate, checked here in integers.  A
+    unique x* is the optimum of every objective, so the report is what
+    ``trials`` objectives would observe, built without solving them.
+
+    Otherwise the cut system is re-solved under ``trials`` objectives,
+    alternating between single-cut min/max pairs (cycling through the
+    canonical cuts) and seeded random integer cost vectors, each warm-started
+    from the phase-one basis.  If those all return one decomposition, x* and
+    the decider's optimum (which differ) are added, so a non-unique d never
+    gets a rigid report.  Requires d to be decomposable at all.
     """
     from .realize import cut_system  # deferred: realize imports this module
 
     if trials < 1:
         raise ValueError("need at least one objective")
     cols, rows, rhs = cut_system(d)
+    if not rows:
+        # p = 1: no pairs and no cuts; the empty decomposition is the only one
+        return RigidityReport(d.p, (), True, None, 1, ())
     from .lp import ExactSimplex
 
-    lp = ExactSimplex(rows, rhs) if rows else None
-    if lp is not None and not lp.feasible:
+    lp = ExactSimplex(rows, rhs)
+    if not lp.feasible:
         raise NotInCutCone("semimetric admits no cut decomposition")
     n = len(cols)
+    x_star = lp.witness()
+    outside = [0 if v else 1 for v in x_star]
+    decider = lp.copy()
+    excess, x_other = decider.maximize(outside)
+    if excess == 0:
+        _check_uniqueness_certificate(rows, rhs, outside, decider.dual)
+        ranges = tuple((cols[j], x_star[j], x_star[j]) for j in range(n))
+        return RigidityReport(d.p, ranges, True, None, trials, tuple(decider.dual))
+
     lo: list[Rat | None] = [None] * n
     hi: list[Rat | None] = [None] * n
     first_x: list | None = None
@@ -389,43 +441,34 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
         elif witness_pair is None and x != first_x:
             witness_pair = (first_x, list(x))
 
-    used = 0
-    if lp is None or n == 0:
-        record([])
-        used = 1
-    else:
-        cut_cycle = 0
-        while used < trials:
-            if used % 4 in (0, 1):
-                # min and max of one cut's weight, cycling through the cuts
-                j = cut_cycle % n
-                costs = [ZERO] * n
-                costs[j] = rat(1)
-                _, x = lp.minimize(costs) if used % 4 == 0 else lp.maximize(costs)
-                if used % 4 == 1:
-                    cut_cycle += 1
-            else:
-                costs = [rat(rng.randint(-9, 9)) for _ in range(n)]
-                _, x = lp.minimize(costs)
-            record(x)
-            used += 1
+    cut_cycle = 0
+    for used in range(trials):
+        if used % 4 in (0, 1):
+            # min and max of one cut's weight, cycling through the cuts
+            j = cut_cycle % n
+            costs = [ZERO] * n
+            costs[j] = rat(1)
+            _, x = lp.minimize(costs) if used % 4 == 0 else lp.maximize(costs)
+            if used % 4 == 1:
+                cut_cycle += 1
+        else:
+            costs = [rat(rng.randint(-9, 9)) for _ in range(n)]
+            _, x = lp.minimize(costs)
+        record(x)
+    if witness_pair is None:
+        record(x_star)
+        record(x_other)
 
-    ranges = tuple(
-        (cols[j], lo[j] if lo[j] is not None else ZERO, hi[j] if hi[j] is not None else ZERO)
-        for j in range(n)
-    )
-    rigid = all(l == h for _, l, h in ranges)
-    pair = None
-    if witness_pair is not None:
-        pair = tuple(
-            CutDecomposition(
-                d.p,
-                tuple((cols[j], x[j]) for j in range(n) if x[j] != 0),
-                ZERO,
-            )
-            for x in witness_pair
+    ranges = tuple((cols[j], lo[j], hi[j]) for j in range(n))
+    pair = tuple(
+        CutDecomposition(
+            d.p,
+            tuple((cols[j], x[j]) for j in range(n) if x[j] != 0),
+            ZERO,
         )
-    return RigidityReport(d.p, ranges, rigid, pair, used)
+        for x in witness_pair
+    )
+    return RigidityReport(d.p, ranges, False, pair, trials)
 
 
 __all__ = [

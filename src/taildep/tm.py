@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .coeffs import (
@@ -70,8 +71,19 @@ class TmModel:
     def is_degenerate(self) -> bool:
         return all(v == 0 for v in self.beta.values)
 
-    def support(self) -> tuple[tuple[int, Rat], ...]:
+    @cached_property
+    def _support(self) -> tuple[tuple[int, Rat], ...]:
+        # kept in the instance dict, outside the fields: equality, hash and
+        # repr never see it
         return self.beta.support()
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only, not the cached support
+        return {"p": self.p, "beta": self.beta}
+
+    def support(self) -> tuple[tuple[int, Rat], ...]:
+        """Nonzero weights as ((mask, weight), ...), found once per model."""
+        return self._support
 
     def theta_total(self) -> Rat:
         """Total mass = extremal coefficient of the full index set."""

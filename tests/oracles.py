@@ -3,17 +3,24 @@
 Everything here is written as the naive O(4**p) double loop straight off the
 defining sums, deliberately sharing no code with the transforms under test.
 The sampler and exact-law references are earlier, plainer implementations
-kept to pin that the faster ones return the same bytes.
+kept to pin that the faster ones return the same bytes; the rigidity
+reference is the objective-cycling probe that the exact uniqueness decider
+replaced, kept to pin that the decider reports what it reported.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 
 from taildep.coeffs import Kind, SubsetFn
-from taildep.rationals import ZERO, Rat
+from taildep.lp import ExactSimplex
+from taildep.rationals import ZERO, Rat, rat
+from taildep.realize import cut_system
+from taildep.spectral import CutDecomposition, RigidityReport
 
 
 def brute_lambda_from_beta(beta: SubsetFn) -> SubsetFn:
@@ -158,3 +165,117 @@ def reference_joint_exceedance(model, subset: int, u: float) -> float:
         term = math.expm1(-float(theta_s) / u)
         acc += term if pick.bit_count() % 2 == 0 else -term
     return acc
+
+
+def reference_rigidity_probe(d, trials: int = 20, seed: int = 0) -> RigidityReport:
+    """The objective-cycling probe: weight ranges seen under ``trials`` solves.
+
+    Objectives alternate between single-cut min/max pairs (cycling through
+    the canonical cuts) and seeded random integer cost vectors.  All-
+    degenerate ranges are only evidence of uniqueness.
+    """
+    if trials < 1:
+        raise ValueError("need at least one objective")
+    cols, rows, rhs = cut_system(d)
+    lp = ExactSimplex(rows, rhs) if rows else None
+    if lp is not None and not lp.feasible:
+        raise ValueError("semimetric admits no cut decomposition")
+    n = len(cols)
+    lo = [None] * n
+    hi = [None] * n
+    first_x = None
+    witness_pair = None
+    rng = random.Random(seed)
+
+    def record(x):
+        nonlocal first_x, witness_pair
+        for j, v in enumerate(x):
+            if lo[j] is None or v < lo[j]:
+                lo[j] = v
+            if hi[j] is None or v > hi[j]:
+                hi[j] = v
+        if first_x is None:
+            first_x = list(x)
+        elif witness_pair is None and x != first_x:
+            witness_pair = (first_x, list(x))
+
+    used = 0
+    if lp is None or n == 0:
+        record([])
+        used = 1
+    else:
+        cut_cycle = 0
+        while used < trials:
+            if used % 4 in (0, 1):
+                j = cut_cycle % n
+                costs = [ZERO] * n
+                costs[j] = rat(1)
+                _, x = lp.minimize(costs) if used % 4 == 0 else lp.maximize(costs)
+                if used % 4 == 1:
+                    cut_cycle += 1
+            else:
+                costs = [rat(rng.randint(-9, 9)) for _ in range(n)]
+                _, x = lp.minimize(costs)
+            record(x)
+            used += 1
+
+    ranges = tuple(
+        (cols[j], lo[j] if lo[j] is not None else ZERO, hi[j] if hi[j] is not None else ZERO)
+        for j in range(n)
+    )
+    rigid = all(l == h for _, l, h in ranges)
+    pair = None
+    if witness_pair is not None:
+        pair = tuple(
+            CutDecomposition(
+                d.p, tuple((cols[j], x[j]) for j in range(n) if x[j] != 0), ZERO
+            )
+            for x in witness_pair
+        )
+    return RigidityReport(d.p, ranges, rigid, pair, used)
+
+
+def exact_weight_ranges(d) -> tuple:
+    """((canonical mask, min, max), ...) of every cut weight over all
+    decompositions of d, by one minimization and one maximization per cut."""
+    cols, rows, rhs = cut_system(d)
+    if not rows:
+        return ()
+    lp = ExactSimplex(rows, rhs)
+    if not lp.feasible:
+        raise ValueError("semimetric admits no cut decomposition")
+    out = []
+    for j, mask in enumerate(cols):
+        unit = [0] * len(cols)
+        unit[j] = 1
+        low, _ = lp.minimize(unit)
+        high, _ = lp.maximize(unit)
+        out.append((mask, low, high))
+    return tuple(out)
+
+
+def fraction_certificate_holds(d, report: RigidityReport) -> bool:
+    """Plain-Fraction check of a rigid report's certificate y: y'A_J >= [J
+    outside the support of the ranges] for every canonical cut J, and y'd = 0,
+    with the cut system rebuilt here from d by direct loops."""
+    p = d.p
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    y = [Fraction(int(v.numerator), int(v.denominator)) for v in report.certificate]
+    if len(y) != len(pairs):
+        return False
+    cuts = [m for m in range(1, (1 << p) - 1) if m & 1]
+    if [m for m, _, _ in report.ranges] != cuts:
+        return False
+    dist = [Fraction(int(d.d[i][j].numerator), int(d.d[i][j].denominator)) for i, j in pairs]
+    if sum(a * b for a, b in zip(y, dist)) != 0:
+        return False
+    for mask, low, high in report.ranges:
+        if low != high:
+            return False
+        load = sum(
+            (yk for yk, (i, j) in zip(y, pairs) if (mask >> i & 1) != (mask >> j & 1)),
+            Fraction(0),
+        )
+        if load < (0 if low else 1):
+            return False
+    return True

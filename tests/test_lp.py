@@ -285,6 +285,41 @@ def test_small_systems_match_brute_force(system):
     assert sum((c * v for c, v in zip(costs, x)), ZERO) == value
 
 
+def _dual_load(rows, y, j):
+    return sum((yi * row[j] for yi, row in zip(y, rows)), ZERO)
+
+
+@given(_small_systems())
+def test_dual_certifies_every_optimum(system):
+    rows, rhs, costs = system
+    lp = ExactSimplex(rows, rhs)
+    if not lp.feasible:
+        return
+    for sense in (1, -1):
+        try:
+            value, _ = lp.minimize(costs) if sense == 1 else lp.maximize(costs)
+        except UnboundedObjective:
+            continue
+        y = lp.dual
+        assert len(y) == len(rows)
+        # min: y'A_j <= c_j; max: y'A_j >= c_j; both: y'b = optimum
+        for j, c in enumerate(costs):
+            assert sense * (c - _dual_load(rows, y, j)) >= 0
+        assert sum((yi * bi for yi, bi in zip(y, rhs)), ZERO) == value
+
+
+def test_copy_optimizes_independently():
+    _, rows, rhs = cut_system(random_graph_metric(5, random.Random(3)))
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible
+    costs = [rat((7 * j) % 5 - 2) for j in range(lp.n)]
+    twin = lp.copy()
+    twin.maximize([1] * lp.n)
+    assert lp.witness() == ExactSimplex(rows, rhs).witness()
+    assert lp.minimize(costs) == ExactSimplex(rows, rhs).minimize(costs)
+    assert twin.minimize(costs)[0] == lp.minimize(costs)[0]
+
+
 def test_artificial_elimination_pivots_on_a_negative_entry(monkeypatch):
     # Phase one ends with an artificial basic at level 0 whose row has a
     # negative structural entry first; the tableau denominator must stay

@@ -1,18 +1,28 @@
-"""Semimetric validation, cut decompositions, line metrics, rigidity probing."""
+"""Semimetric validation, cut decompositions, line metrics, uniqueness decider."""
+
+import dataclasses
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from taildep.coeffs import lambda_from_beta, td_matrix
-from taildep.errors import MalformedMatrix, NotInCutCone
+from taildep.errors import InternalError, MalformedMatrix, NotInCutCone
 from taildep.instances import (
     comonotone_model,
     independence_model,
     k23_metric,
     line_metric_from_weights,
     random_beta,
+    random_cut_metric,
+    random_graph_metric,
     random_line_instance,
 )
+from taildep.lp import ExactSimplex
 from taildep.rationals import ZERO, rat
 from taildep.spectral import (
     LineMetricCert,
@@ -33,7 +43,12 @@ from taildep.spectral import (
 from taildep.subsets import mask_of
 from taildep.tm import TmModel
 
-from oracles import brute_cut_reconstruction
+from oracles import (
+    brute_cut_reconstruction,
+    exact_weight_ranges,
+    fraction_certificate_holds,
+    reference_rigidity_probe,
+)
 
 
 class TestValidate:
@@ -236,6 +251,131 @@ class TestRigidityProbe:
     def test_k23_not_in_cut_cone(self):
         with pytest.raises(NotInCutCone):
             rigidity_probe(k23_metric(), trials=3)
+
+
+EQUILATERAL_P4 = SemiMetric.from_rows(
+    [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+)
+
+
+def _without_certificate(report):
+    return dataclasses.replace(report, certificate=None)
+
+
+class TestUniquenessDecider:
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_lines_equal_reference_with_checked_certificate(self, p):
+        rng = random.Random(100 + p)
+        for case in range(4):
+            weights, _ = random_line_instance(p, rng)
+            d = line_metric_from_weights(weights, rng.sample(range(p), p))
+            report = rigidity_probe(d, trials=20, seed=case)
+            assert _without_certificate(report) == reference_rigidity_probe(
+                d, trials=20, seed=case
+            )
+            assert report.rigid_consistent
+            assert fraction_certificate_holds(d, report)
+
+    def test_one_point_is_rigid_with_empty_certificate(self):
+        report = rigidity_probe(SemiMetric.from_rows([[0]]), trials=3)
+        assert _without_certificate(report) == reference_rigidity_probe(
+            SemiMetric.from_rows([[0]]), trials=3
+        )
+        assert report.certificate == ()
+
+    def test_equilateral_p4_equals_reference(self):
+        report = rigidity_probe(EQUILATERAL_P4, trials=20)
+        assert report == reference_rigidity_probe(EQUILATERAL_P4, trials=20)
+        assert report.certificate is None
+
+    def test_non_rigid_ranges_come_from_the_objective_loop(self):
+        # here the 20 objectives see more than the decider's two vertices
+        d = random_cut_metric(5, random.Random(1))
+        report = rigidity_probe(d, trials=20)
+        assert report == reference_rigidity_probe(d, trials=20)
+        assert sum(lo != hi for _, lo, hi in report.ranges) == 11
+
+    def test_equilateral_p4_one_objective_is_not_rigid(self):
+        # one objective saw one decomposition, so the old probe said rigid
+        assert reference_rigidity_probe(EQUILATERAL_P4, trials=1).rigid_consistent
+        report = rigidity_probe(EQUILATERAL_P4, trials=1)
+        assert not report.rigid_consistent and report.certificate is None
+        assert report.objectives_used == 1
+        first, second = report.witness_pair
+        assert first.reconstruct().d == EQUILATERAL_P4.d
+        assert second.reconstruct().d == EQUILATERAL_P4.d
+        assert first.cuts != second.cuts
+        assert any(lo != hi for _, lo, hi in report.ranges)
+
+    @given(
+        st.sampled_from(["cut", "graph"]),
+        st.integers(2, 6),
+        st.randoms(use_true_random=False),
+        st.integers(1, 20),
+    )
+    def test_verdict_matches_exact_ranges(self, kind, p, pyrandom, trials):
+        d = random_cut_metric(p, pyrandom) if kind == "cut" else random_graph_metric(p, pyrandom)
+        try:
+            exact = exact_weight_ranges(d)
+        except ValueError:
+            with pytest.raises(NotInCutCone):
+                rigidity_probe(d, trials=trials)
+            return
+        unique = all(lo == hi for _, lo, hi in exact)
+        report = rigidity_probe(d, trials=trials, seed=p)
+        reference = reference_rigidity_probe(d, trials=trials, seed=p)
+        assert report.rigid_consistent == unique
+        assert report.objectives_used == trials
+        if unique:
+            assert report.ranges == exact
+            assert fraction_certificate_holds(d, report)
+        else:
+            first, second = report.witness_pair
+            assert first.reconstruct().d == d.d == second.reconstruct().d
+            assert first.cuts != second.cuts
+            for (mask, lo, hi), (_, low, high) in zip(report.ranges, exact):
+                assert low <= lo <= hi <= high
+        if reference.rigid_consistent == unique:
+            assert _without_certificate(report) == reference
+
+    def test_fraction_check_rejects_tampered_certificates(self, line_metric):
+        report = rigidity_probe(line_metric, trials=20)
+        assert fraction_certificate_holds(line_metric, report)
+        y = report.certificate
+        flipped = dataclasses.replace(report, certificate=tuple(-v for v in y))
+        assert not fraction_certificate_holds(line_metric, flipped)
+        off = dataclasses.replace(report, certificate=(y[0] + 1, *y[1:]))
+        assert not fraction_certificate_holds(line_metric, off)
+
+    def test_wrong_dual_raises_internal_error(self, line_metric, monkeypatch):
+        maximize = ExactSimplex.maximize
+
+        def flipped(self, costs):
+            out = maximize(self, costs)
+            self.dual = [-v for v in self.dual]
+            return out
+
+        monkeypatch.setattr(ExactSimplex, "maximize", flipped)
+        with pytest.raises(InternalError):
+            rigidity_probe(line_metric, trials=20)
+
+
+def test_line_metric_study_script_runs_optimized():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", str(root / "scripts" / "line_metric_study.py"),
+         "--weights", "1,2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "cut {1, 2}: [2/1, 2/1]" in result.stdout
+    assert "uniqueness proved: dual certificate of length 3" in result.stdout
 
 
 def test_distance_from_td_shares_coeffs_examples(line_model):
