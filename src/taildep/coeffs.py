@@ -47,10 +47,14 @@ HARD_MAX_P = 26
 DEFAULT_SOFT_MAX_P = 16
 
 
-def soft_max_p() -> int:
-    """Soft dimension guard; override with the TAILDEP_MAX_P env variable."""
+def soft_max_p(default: int = DEFAULT_SOFT_MAX_P) -> int:
+    """Soft dimension guard: the TAILDEP_MAX_P env variable, else ``default``.
+
+    Both guards read it here: coefficient arrays default to 16, the LP
+    deciders in ``realize`` to their own, smaller default.
+    """
     env = os.environ.get("TAILDEP_MAX_P")
-    return int(env) if env else DEFAULT_SOFT_MAX_P
+    return int(env) if env else default
 
 
 def check_dimension(p: int, *, allow_large: bool = False) -> None:
@@ -74,25 +78,51 @@ class Kind(Enum):
     RAW = "raw"
 
 
-def _common_numerators(values: Sequence[RatLike]) -> tuple[tuple, int]:
+_INT64_MAX = (1 << 63) - 1
+
+
+def _store(nums) -> np.ndarray:
+    """Integer numerators as a read-only array: int64 when sum(|nums|) fits
+    in int64, an object array of Python ints otherwise.
+
+    Every entry at every level of a lattice butterfly is a signed sum of
+    distinct inputs, so no value exceeds sum(|nums|): an int64 array goes
+    through any transform with exact machine adds.  ``nums`` is a list or a
+    fresh array that nothing else writes.
+    """
+    try:
+        arr = np.asarray(nums, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64, so the sum is too
+        arr = np.asarray(nums, dtype=object)
+    else:
+        # n * max|x| bounds the sum at the cost of two reductions
+        if max(int(arr.max()), -int(arr.min())) * len(arr) > _INT64_MAX:
+            if sum(map(abs, arr.tolist())) > _INT64_MAX:
+                arr = arr.astype(object)
+    arr.flags.writeable = False
+    return arr
+
+
+def _numerators_of(values: Sequence[RatLike]) -> tuple[np.ndarray, int]:
     nums, den = to_common_numerators(values)
-    return tuple(nums), den
+    return _store(nums), den
 
 
-def _init(fn: "SubsetFn", p: int, kind: Kind, values, common) -> None:
+def _init(fn: "SubsetFn", p: int, kind: Kind, values, nums, den) -> None:
     """Fill a SubsetFn's slots; a BETA system must have no negative numerator."""
     if kind is Kind.BETA:
-        nums = common[0]
-        if min(nums) < 0:
-            bad = [m + 1 for m, n in enumerate(nums) if n < 0]
+        if nums is None:
+            nums, den = _numerators_of(values)
+        if nums.min() < 0:
+            bad = (np.flatnonzero(nums < 0)[:8] + 1).tolist()
             raise InvalidBeta(
-                "negative beta entries at subsets "
-                + ", ".join(set_str(m) for m in bad[:8])
+                "negative beta entries at subsets " + ", ".join(set_str(m) for m in bad)
             )
     object.__setattr__(fn, "p", p)
     object.__setattr__(fn, "kind", kind)
     object.__setattr__(fn, "_values", values)
-    object.__setattr__(fn, "_common", common)
+    object.__setattr__(fn, "_nums", nums)
+    object.__setattr__(fn, "_den", den)
 
 
 class SubsetFn:
@@ -106,12 +136,18 @@ class SubsetFn:
 
     Instances are immutable.  Alongside (or instead of) the rationals an
     instance keeps its values as integer numerators over one common
-    denominator, the form the lattice transforms compute in: a transform's
-    result builds its rationals only when ``values`` is first read, so a
-    chain such as beta -> lambda -> beta builds none for the middle system.
+    denominator ``den`` > 0, the form the lattice transforms compute in: one
+    read-only numpy array, ``int64`` when the sum of the absolute
+    numerators fits in int64 (so every transform of it is exact in machine
+    adds) and ``object`` (Python ints) otherwise.  A transform's result has
+    its input's denominator, so it only wraps the array its butterfly
+    produced; its rationals are built from ``nums.tolist()`` when ``values``
+    is first read, so a chain such as beta -> lambda -> beta builds none for
+    the middle system.  Two instances holding numerators over the same
+    denominator compare their numerators.
     """
 
-    __slots__ = ("p", "kind", "_values", "_common")
+    __slots__ = ("p", "kind", "_values", "_nums", "_den")
 
     def __init__(self, p: int, values: tuple, kind: Kind) -> None:
         check_dimension(p, allow_large=True)
@@ -120,31 +156,32 @@ class SubsetFn:
             raise ValueError(f"expected {n} values for p={p}, got {len(values)}")
         # BETA's sign check reads the integer numerators, which every
         # transform of this system needs next
-        common = _common_numerators(values) if kind is Kind.BETA else None
-        _init(self, p, kind, values, common)
+        _init(self, p, kind, values, None, None)
 
     @classmethod
-    def _from_numerators(
-        cls, p: int, nums: Sequence[int], den: int, kind: Kind
-    ) -> "SubsetFn":
-        """Wrap 2**p - 1 integer numerators over ``den`` > 0 (a transform's
-        result); the rationals are built on first read of ``values``."""
+    def _from_numerators(cls, p: int, nums, den: int, kind: Kind) -> "SubsetFn":
+        """Wrap 2**p - 1 integer numerators over ``den`` > 0 (a list, or a
+        fresh array that nothing else writes); the rationals are built on
+        first read of ``values``."""
         fn = object.__new__(cls)
-        _init(fn, p, kind, None, (tuple(nums), den))
+        _init(fn, p, kind, None, _store(nums), den)
         return fn
 
     @property
     def values(self) -> tuple:
         if self._values is None:
-            nums, den = self._common
-            object.__setattr__(self, "_values", tuple(from_common_numerators(nums, den)))
+            rats = from_common_numerators(self._nums.tolist(), self._den)
+            object.__setattr__(self, "_values", tuple(rats))
         return self._values
 
-    def _numerators(self) -> tuple[Sequence[int], int]:
-        """(integer numerators over a common denominator, that denominator)."""
-        if self._common is None:
-            object.__setattr__(self, "_common", _common_numerators(self._values))
-        return self._common
+    def _numerators(self) -> tuple[np.ndarray, int]:
+        """(read-only array of numerators over a common denominator, that
+        denominator)."""
+        if self._nums is None:
+            nums, den = _numerators_of(self._values)
+            object.__setattr__(self, "_nums", nums)
+            object.__setattr__(self, "_den", den)
+        return self._nums, self._den
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -155,7 +192,12 @@ class SubsetFn:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.p, self.values, self.kind) == (other.p, other.values, other.kind)
+        if self.p != other.p or self.kind is not other.kind:
+            return False
+        if self._nums is not None and other._nums is not None and self._den == other._den:
+            # n/d == m/d iff n == m: no rationals needed
+            return np.array_equal(self._nums, other._nums)
+        return self.values == other.values
 
     def __hash__(self) -> int:
         return hash((self.p, self.values, self.kind))
@@ -215,13 +257,16 @@ class SubsetFn:
             yield m, v
 
     def support(self) -> tuple[tuple[int, Rat], ...]:
-        return tuple((m, v) for m, v in self.entries() if v != 0)
+        values = self.values
+        masks = np.flatnonzero(self._numerators()[0]).tolist()
+        return tuple((m + 1, values[m]) for m in masks)
 
     def total(self) -> Rat:
-        return sum(self.values, ZERO)
+        nums, den = self._numerators()
+        return rat(int(nums.sum()), den)
 
     def negative_masks(self) -> tuple[int, ...]:
-        return tuple(m for m, v in self.entries() if v < 0)
+        return tuple((np.flatnonzero(self._numerators()[0] < 0) + 1).tolist())
 
     def as_float_array(self) -> np.ndarray:
         """Floating view for simulation consumers; exactness ends here."""
@@ -230,11 +275,20 @@ class SubsetFn:
         )
 
     def with_kind(self, kind: Kind) -> "SubsetFn":
-        return SubsetFn(self.p, self.values, kind)
+        fn = object.__new__(SubsetFn)
+        _init(fn, self.p, kind, self._values, self._nums, self._den)
+        return fn
 
     def scaled(self, factor: RatLike) -> "SubsetFn":
+        """(a/b) * self as numerators * a over denominator * b (b > 0)."""
         c = rat(factor)
-        return SubsetFn(self.p, tuple(c * v for v in self.values), self.kind)
+        a, b = int(c.numerator), int(c.denominator)
+        nums, den = self._numerators()
+        # Python-int products cannot overflow; _store narrows them back to
+        # int64 where they fit
+        return SubsetFn._from_numerators(
+            self.p, nums.astype(object) * a, den * b, self.kind
+        )
 
 
 def linear_combination(
@@ -260,32 +314,41 @@ def linear_combination(
 #
 # All four primitive transforms are addition-only butterflies over the full
 # subset lattice (length 2**p, index 0 = empty set), so they preserve any
-# common denominator.  We therefore hoist the values to integer numerators
-# over lcm(denominators), run the butterfly on integers, and hand the result
-# on as numerators (`SubsetFn._from_numerators`); this is several times
-# faster than transforming rationals directly.  With index = bitmask, the
-# complement of mask m is fm - m, so reversing a full-lattice list maps each
-# subset's entry to its complement's.
+# common denominator.  A system's values therefore stay integer numerators
+# over one denominator from the first transform to the answer: each
+# transform copies its input's numerator array into a fresh full-lattice
+# array, runs the butterfly on it in place, and wraps the nonempty part as
+# the result, over the input's denominator (`SubsetFn._from_numerators`).
+# The array is int64 when the sum of the absolute numerators fits, which
+# bounds every intermediate sum, and object otherwise (see `_store`).  With
+# index = bitmask, the complement of mask m is fm - m, so reversing a
+# full-lattice array maps each subset's entry to its complement's.
 # ---------------------------------------------------------------------------
 
 
-_INT64_MAX = (1 << 63) - 1
+def _full(nums: np.ndarray, *, complement: bool = False) -> np.ndarray:
+    """A fresh full-lattice array: 0 at the empty set and ``nums`` at masks
+    1..fm, or (``complement``) each numerator at its mask's complement, so
+    mask fm holds 0."""
+    full = np.empty(len(nums) + 1, dtype=nums.dtype)
+    if complement:
+        full[:-1] = nums[::-1]
+        full[-1] = 0
+    else:
+        full[0] = 0
+        full[1:] = nums
+    return full
 
 
-def _butterfly(nums: Sequence[int], p: int, *, superset: bool, invert: bool) -> list:
-    """Zeta / Moebius transform of a full-lattice integer list (a new list).
+def _butterfly(arr: np.ndarray, p: int, *, superset: bool, invert: bool) -> np.ndarray:
+    """Zeta / Moebius transform of a full-lattice array, in place; returns it.
 
     superset=True:  g(S) = sum_{T >= S} f(T)   (invert: alternating signs)
     superset=False: g(S) = sum_{T <= S} f(T)   (invert: alternating signs)
 
-    Runs the butterfly on a numpy array so the block loop happens in C; the
-    halves combined at each level are disjoint views, so in-place ops are
-    safe.  Every entry at every level is a signed sum of distinct inputs, so
-    no value exceeds sum(|nums|): when that fits in int64 the adds are exact
-    machine adds, otherwise an object array carries arbitrary-precision ints.
+    The block loop runs in numpy; the halves combined at each level are
+    disjoint views, so the in-place ops are safe.
     """
-    dtype = np.int64 if sum(map(abs, nums)) <= _INT64_MAX else object
-    arr = np.array(nums, dtype=dtype)
     for i in range(p):
         block = arr.reshape(-1, 2, 1 << i)
         if superset:
@@ -298,7 +361,7 @@ def _butterfly(nums: Sequence[int], p: int, *, superset: bool, invert: bool) -> 
                 block[:, 1, :] -= block[:, 0, :]
             else:
                 block[:, 1, :] += block[:, 0, :]
-    return arr.tolist()
+    return arr
 
 
 def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
@@ -306,10 +369,10 @@ def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
         raise ValueError(f"{op} expects a {expected.value}-kind input, got {fn.kind.value}")
 
 
-def _tag_beta(p: int, nums: Sequence[int], den: int) -> SubsetFn:
+def _tag_beta(p: int, nums: np.ndarray, den: int) -> SubsetFn:
     """Tag an inversion result given as numerators over ``den`` > 0:
     BETA when nonnegative, RAW otherwise."""
-    kind = Kind.RAW if min(nums) < 0 else Kind.BETA
+    kind = Kind.RAW if nums.min() < 0 else Kind.BETA
     return SubsetFn._from_numerators(p, nums, den, kind)
 
 
@@ -321,7 +384,7 @@ def lambda_from_beta(beta: SubsetFn) -> SubsetFn:
     if beta.kind is not Kind.BETA:
         raise InvalidBeta(f"lambda_from_beta expects kind beta, got {beta.kind.value}")
     nums, den = beta._numerators()
-    full = _butterfly([0, *nums], beta.p, superset=True, invert=False)
+    full = _butterfly(_full(nums), beta.p, superset=True, invert=False)
     return SubsetFn._from_numerators(beta.p, full[1:], den, Kind.LAMBDA)
 
 
@@ -333,11 +396,9 @@ def theta_from_beta(beta: SubsetFn) -> SubsetFn:
     if beta.kind is not Kind.BETA:
         raise InvalidBeta(f"theta_from_beta expects kind beta, got {beta.kind.value}")
     nums, den = beta._numerators()
-    full = _butterfly([0, *nums], beta.p, superset=False, invert=False)
-    total = full[-1]
+    full = _butterfly(_full(nums), beta.p, superset=False, invert=False)
     # masks 1..fm read the sums at their complements fm-1..0
-    out = [total - s for s in full[-2::-1]]
-    return SubsetFn._from_numerators(beta.p, out, den, Kind.THETA)
+    return SubsetFn._from_numerators(beta.p, full[-1] - full[-2::-1], den, Kind.THETA)
 
 
 # -- lambda / theta -> beta (Moebius inversions) -----------------------------
@@ -351,7 +412,7 @@ def beta_from_lambda(lam: SubsetFn) -> SubsetFn:
     """
     _require_kind(lam, Kind.LAMBDA, "beta_from_lambda")
     nums, den = lam._numerators()
-    full = _butterfly([0, *nums], lam.p, superset=True, invert=True)
+    full = _butterfly(_full(nums), lam.p, superset=True, invert=True)
     return _tag_beta(lam.p, full[1:], den)
 
 
@@ -366,12 +427,20 @@ def beta_from_theta(theta: SubsetFn) -> SubsetFn:
     """
     _require_kind(theta, Kind.THETA, "beta_from_theta")
     nums, den = theta._numerators()
-    # g[R] = theta(complement R) for R = 0..fm-1; complement of fm is empty -> 0
-    g = _butterfly([*nums[::-1], 0], theta.p, superset=False, invert=True)
-    return _tag_beta(theta.p, [-v for v in g[1:]], den)
+    g = _butterfly(_full(nums, complement=True), theta.p, superset=False, invert=True)[1:]
+    return _tag_beta(theta.p, np.negative(g, out=g), den)
 
 
 # -- theta <-> lambda (inclusion-exclusion) ----------------------------------
+
+
+def _even_masks(p: int) -> np.ndarray:
+    """Boolean array over masks 0..2**p - 1: True where |mask| is even."""
+    even = np.ones(1, dtype=bool)
+    for _ in range(p):
+        # setting the next bit flips the parity
+        even = np.concatenate([even, ~even])
+    return even
 
 
 def _signed_subset_sum(fn: SubsetFn, out_kind: Kind) -> SubsetFn:
@@ -382,10 +451,8 @@ def _signed_subset_sum(fn: SubsetFn, out_kind: Kind) -> SubsetFn:
     """
     p = fn.p
     nums, den = fn._numerators()
-    signed = [0] + [
-        n if (mask.bit_count() & 1) else -n
-        for mask, n in zip(range(1, 1 << p), nums)
-    ]
+    signed = _full(nums)
+    np.negative(signed, out=signed, where=_even_masks(p))
     full = _butterfly(signed, p, superset=False, invert=False)
     return SubsetFn._from_numerators(p, full[1:], den, out_kind)
 

@@ -19,12 +19,11 @@ exactness here; the default size guard documents it rather than hiding it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .coeffs import Kind, SubsetFn, TdMatrix, lambda_from_beta
+from .coeffs import Kind, SubsetFn, TdMatrix, lambda_from_beta, soft_max_p
 from .errors import (
     CertificateRejected,
     DegenerateReduction,
@@ -49,8 +48,7 @@ DEFAULT_MAX_P = 14
 
 def _guard(p: int, max_p: int | None) -> None:
     if max_p is None:
-        env = os.environ.get("TAILDEP_MAX_P")
-        max_p = int(env) if env else DEFAULT_MAX_P
+        max_p = soft_max_p(DEFAULT_MAX_P)
     if p > max_p:
         raise SizeLimitError(
             f"p={p} exceeds the decider guard {max_p}; the LP has ~2**p "
@@ -152,7 +150,7 @@ def decide_tdr(L: TdMatrix, *, max_p: int | None = None) -> FeasibilityOutcome:
     # Round-trip sanity: synthesizing the induced full lambda system must
     # recover exactly these weights.
     resynth = synthesize(lambda_from_beta(beta))
-    if not (isinstance(resynth, TmModel) and resynth.beta.values == beta.values):
+    if not (isinstance(resynth, TmModel) and resynth.beta == beta):
         raise InternalError("TDR witness does not survive resynthesis")
     return FeasibilityOutcome(
         "tdr", Status.FEASIBLE, L.p, pairs, witness_beta=beta, model=model

@@ -69,7 +69,8 @@ class TmModel:
 
     @property
     def is_degenerate(self) -> bool:
-        return all(v == 0 for v in self.beta.values)
+        # the weights are nonnegative: all zero iff their sum is
+        return self.beta.total() == 0
 
     @cached_property
     def _support(self) -> tuple[tuple[int, Rat], ...]:
@@ -149,7 +150,9 @@ def synthesize(system: SubsetFn) -> TmModel | RealizabilityFailure:
         return RealizabilityFailure(system.kind, negative)
     model = TmModel(system.p, inv)
     # Moebius inversion is exact, so this can only trip on an internal bug.
-    if forward(inv).values != system.values:
+    # The round trip keeps the input's denominator, so this compares integer
+    # numerators and builds no rationals.
+    if forward(inv) != system:
         raise InternalError("Moebius inversion does not reproduce its input")
     return model
 

@@ -2,7 +2,9 @@
 
 import pickle
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -256,6 +258,91 @@ def test_transform_results_behave_like_built_systems():
             fn.kind = Kind.RAW
     raw = beta_from_lambda(lambda_from_beta(beta).scaled(-1))
     assert raw.kind is Kind.RAW and raw.negative_masks()
+
+
+def test_int64_input_with_object_intermediate():
+    # beta's |numerators| sum to 2**63 - 1, lambda's and theta's do not
+    beta = SubsetFn.from_values(2, [1 << 62, 0, (1 << 62) - 1], Kind.BETA)
+    lam, th = lambda_from_beta(beta), theta_from_beta(beta)
+    assert beta._numerators()[0].dtype == np.int64
+    assert lam._numerators()[0].dtype == th._numerators()[0].dtype == object
+    assert lam.values == brute_lambda_from_beta(beta).values
+    assert th.values == brute_theta_from_beta(beta).values
+    assert beta_from_lambda(lam).values == tuple(brute_beta_from_lambda(lam)) == beta.values
+    assert beta_from_theta(th).values == tuple(brute_beta_from_theta(th)) == beta.values
+    assert theta_from_lambda(lam).values == brute_theta_from_lambda(lam).values
+    assert lambda_from_theta(th).values == brute_lambda_from_theta(th).values
+    # the inversions come back to int64
+    assert beta_from_lambda(lam)._numerators()[0].dtype == np.int64
+
+
+@given(beta_systems(max_p=5), st.sampled_from([0, 62, 63, 64, 130]))
+def test_transform_values_have_int_parts(beta, bits):
+    big = beta.scaled((1 << bits) + 1)
+    lam, th = lambda_from_beta(big), theta_from_beta(big)
+    raw = beta_from_lambda(lam.scaled(-1)) if lam.total() else beta_from_lambda(lam)
+    for fn in (lam, th, beta_from_lambda(lam), beta_from_theta(th),
+               theta_from_lambda(lam), lambda_from_theta(th), raw):
+        for q in fn.values:
+            assert type(q.numerator) is int and type(q.denominator) is int
+
+
+def test_stored_numerators_are_read_only():
+    beta = line_fixture_model().beta
+    for fn in (beta, lambda_from_beta(beta), beta.scaled(3), beta.with_kind(Kind.RAW)):
+        nums, _ = fn._numerators()
+        with pytest.raises(ValueError):
+            nums[0] = 1
+
+
+def _built(p, values, kind):
+    """SubsetFn from rationals, or the exception it raises."""
+    try:
+        return SubsetFn(p, tuple(values), kind)
+    except InvalidBeta as exc:
+        return type(exc)
+
+
+def _same(fn, built):
+    assert fn == built and built == fn
+    assert fn.kind is built.kind
+    assert hash(fn) == hash(built) and repr(fn) == repr(built)
+
+
+@given(
+    beta_systems(max_p=5),
+    st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=8),
+        st.integers(-(1 << 70), 1 << 70),
+        st.just(Fraction(0)),
+    ),
+)
+def test_with_kind_and_scaled_match_rational_builds(beta, c):
+    c = rat(c)
+    lam = lambda_from_beta(beta)
+    raw = beta_from_lambda(lam.scaled(-1))
+    for fn in (beta, lam, raw, SubsetFn(beta.p, lam.values, Kind.LAMBDA)):
+        expected = _built(fn.p, (c * v for v in fn.values), fn.kind)
+        if expected is InvalidBeta:
+            with pytest.raises(InvalidBeta):
+                fn.scaled(c)
+        else:
+            _same(fn.scaled(c), expected)
+        for kind in Kind:
+            expected = _built(fn.p, fn.values, kind)
+            if expected is InvalidBeta:
+                with pytest.raises(InvalidBeta):
+                    fn.with_kind(kind)
+            else:
+                _same(fn.with_kind(kind), expected)
+
+
+def test_equality_across_denominators():
+    lam = lambda_from_beta(line_fixture_model().beta)
+    twice = lam.scaled(rat(2, 3)).scaled(rat(3, 2))  # same values, larger denominator
+    assert twice._numerators()[1] != lam._numerators()[1]
+    assert twice == lam and hash(twice) == hash(lam)
+    assert lam.scaled(rat(2, 3)) != lam
 
 
 @given(beta_systems(max_p=6))

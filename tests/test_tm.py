@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taildep.coeffs import Kind, SubsetFn, lambda_from_beta, theta_from_beta
+from taildep import coeffs, tm
 from taildep.errors import (
     DegenerateModel,
     DomainError,
+    InternalError,
     InvalidPmf,
     ScaleTooSmall,
 )
@@ -57,6 +59,35 @@ class TestSynthesize:
         lam = lambda_from_beta(independence_model(3).beta)
         model = synthesize(lam)
         assert {m for m, _ in model.support()} == {1, 2, 4}
+
+    @pytest.mark.parametrize("forward", [lambda_from_beta, theta_from_beta])
+    def test_round_trip_check_compares_numerators(self, monkeypatch, rng, forward):
+        # a forward transform off by one in one numerator, over the input's
+        # own denominator, must trip the integer round-trip check
+        def perturbed(beta):
+            fn = forward(beta)
+            nums, den = fn._numerators()
+            nums = nums.copy()
+            nums[-1] += 1
+            return SubsetFn._from_numerators(fn.p, nums, den, fn.kind)
+
+        system = forward(random_beta(5, rng))
+        assert isinstance(synthesize(system), TmModel)
+        monkeypatch.setattr(tm, forward.__name__, perturbed)
+        with pytest.raises(InternalError):
+            synthesize(system)
+
+    def test_builds_no_rationals(self, monkeypatch, rng):
+        beta = random_beta(6, rng)
+        lam, theta = lambda_from_beta(beta), theta_from_beta(beta)
+
+        def refuse(nums, den):
+            raise AssertionError("rationals built")
+
+        monkeypatch.setattr(coeffs, "from_common_numerators", refuse)
+        for system in (lam, theta):
+            model = synthesize(system)
+            assert isinstance(model, TmModel) and model.beta == beta
 
 
 class TestCdf:
