@@ -250,7 +250,10 @@ class SubsetFn:
     def __getitem__(self, mask: int):
         if not 1 <= mask < (1 << self.p):
             raise KeyError(f"subset mask {mask} out of range for p={self.p}")
-        return self.values[mask - 1]
+        if self._values is None:
+            # one numerator, not all 2**p - 1 rationals
+            return from_common_numerators([self._nums.item(mask - 1)], self._den)[0]
+        return self._values[mask - 1]
 
     def entries(self) -> Iterator[tuple[int, Rat]]:
         for m, v in enumerate(self.values, start=1):

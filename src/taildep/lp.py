@@ -1,4 +1,4 @@
-"""Exact fraction-free simplex for equality-form feasibility and optimization.
+"""Exact fraction-free revised simplex for equality-form feasibility and optimization.
 
 Solves  { x >= 0 : A x = b }  over exact rationals.  Phase one minimizes the
 total artificial infeasibility; its optimal dual multipliers are exactly a
@@ -16,33 +16,54 @@ Each optimization also leaves its optimal dual multipliers in ``dual``:
 (for ``maximize``, y' A_j >= c_j and y' b = max c'x), again a certificate
 of optimality that anyone can check.
 
-Integer tableau.  The system is scaled to integers once: A by the lcm of
-its denominators, b by the lcm of its own, each factor uniform over all
-rows.  (One factor for both would enter D below once per basic column of
-A: the TDR matrices are 0/1, but their right-hand sides have denominators
-like 256.)  The solver then holds an integer tableau N over one common
-denominator D > 0: the rational tableau of the scaled system is N / D,
-and D is the absolute value of the determinant of the current basis
-(Edmonds 1967; Bareiss 1968).  A pivot on N[r][col] = piv is
+Integer basis adjugate.  The system is scaled to integers once: A by the
+lcm of its denominators, b by the lcm of its own, each factor uniform over
+all rows.  (One factor for both would enter D below once per basic column
+of A: the TDR matrices are 0/1, but their right-hand sides have
+denominators like 256.)  Rows with a negative right-hand side are negated.
+The solver keeps D > 0, the absolute value of the determinant of the
+current basis B, and the m x m integer matrix R = D * B^-1 (the basis
+inverse of the scaled system, up to D), stored row by row next to R b.
+The full tableau over D would be N = R [A | I | b] (Edmonds 1967; Bareiss
+1968), m x (n + m + 1) with n = 2**p - 1 columns for the deciders; it is
+never formed.  A pivot on the entry piv = N[r][col] of the entering column
+N[:, col] = R A_col, computed when the column enters, updates
 
-    N'[i] = (N[i] * piv - N[i][col] * N[r]) // D   for i != r,   D' = piv,
+    R'[i] = (R[i] * piv - N[i][col] * R[r]) // D   for i != r,   D' = piv,
 
-where every division is exact because all entries of N are minors of the
-scaled system.  A negative pivot (only possible while driving artificials
-out of the basis) first negates its row, which keeps D positive.  The
-phase-one row and the phase-two reduced-cost row (with costs scaled to
-integers once) are updated by the same formula.  Ratio and lexicographic
-tests compare N[i][j] / N[i][col] by cross-multiplication, so no gcd is
-ever taken inside the loops; rationals are built only for the witness, the
-Farkas vector, the dual multipliers and the optimum value.
+and R b by the same formula; every division is exact because all entries
+of N are minors of the scaled system.  A negative pivot (only possible
+while driving artificials out of the basis) first negates its row, which
+keeps D positive.  This is the integer form of the revised simplex (Azulay
+& Pique 1998; QSopt_ex of Applegate, Cook, Dash & Espinoza 2007 is an
+exact revised simplex over rationals): a pivot costs O(m**2) integer
+operations instead of O(m * 2**p).
 
-Dual read-out.  The tableau keeps its artificial columns after phase one:
-they hold B^-1 (the basis inverse of the row-scaled system, up to D), and
-since the reduced-cost row is carried across them with zero cost, its
-entries there are minus the current multipliers, -c_B' B^-1.  Phase two
-never prices them, so no pivot changes; the lexicographic ratio test
-reaches them only after every structural column, and by then the basic
-identity block has already told any two rows apart.
+Objective rows live in the same coordinates.  The phase-one row is
+z = z_art [A | I | b] and the phase-two reduced-cost row is
+rc = [c D | 0 | 0] + rc_art [A | I | b] (costs scaled to integers once), so
+only their artificial parts z_art, rc_art (and their right-hand-side
+entries) are kept and updated by the pivot formula.  Pricing is one exact
+vector-matrix product per pivot, z_art A or [rc_art, D] [A; c], whose
+first largest (smallest) entry enters.  A is stored once, as int64 and
+float64 while its column sums of absolute values stay below 2**32
+(``_Matrix``): a product splits its integer vector into base-2**s digits
+small enough that every partial sum is an integer below 2**53, so the
+float64 products are exact, and the entering column is found from the
+digit products without building Python ints.  An object array of Python
+ints carries A otherwise.  R itself is an int64 array whenever its entries
+fit and the pivot that made it could be computed exactly in int64
+(directly, or from float64 estimates of its quotients corrected by their
+remainders, ``_bareiss``), and an object array of Python ints otherwise.
+Ratio and lexicographic tests compare entries of N by cross-multiplication,
+so no gcd is ever taken inside the loops; rationals are built only for the
+witness, the Farkas vector, the dual multipliers and the optimum value.
+
+Dual read-out.  The artificial part of the reduced-cost row is minus the
+current multipliers, rc_art = -c_B' R, and phase two never prices the
+artificial columns, so no pivot changes; the lexicographic ratio test
+reaches them (the entries of R) only after every structural column, and by
+then the basic identity block has already told any two rows apart.
 
 What carries over from the rational tableau.  Scaling b by a factor
 scales the right-hand-side column and nothing else.  Scaling A by a factor
@@ -56,21 +77,28 @@ are the same numbers.  Hence every pivot, and every answer, is the one the
 rational tableau would give; the witness is the scaled one times the
 ratio of the two factors.
 
-Pivoting uses Dantzig's entering rule with a lexicographic ratio test.
-The tableau rows (which contain an identity block on the basic columns)
-are totally ordered lexicographically after scaling by the pivot entry,
-so the leaving choice is always unique, no basis ever repeats, and the
-method terminates under any entering rule; this also keeps the heavily
-degenerate cut systems from stalling the way Bland's rule does.  All
-arithmetic is exact; there are no tolerances anywhere in this module.
+Pivoting uses Dantzig's entering rule (the first column of largest
+phase-one gain, or of most negative reduced cost) with a lexicographic
+ratio test over (rhs, structural columns in order, artificial columns in
+order).  The tableau rows (which contain an identity block on the basic
+columns) are totally ordered lexicographically after scaling by the pivot
+entry, so the leaving choice is always unique, no basis ever repeats, and
+the method terminates under any entering rule; this also keeps the heavily
+degenerate cut systems from stalling the way Bland's rule does.  Rows of
+R A are built only for the rows still tied, a block of columns at a time.
+All arithmetic is exact; there are no tolerances anywhere in this module.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import TaildepError, UnboundedObjective
+import numpy as np
+
+from .errors import InternalError, TaildepError, UnboundedObjective
 from .rationals import Rat, ZERO, rat, to_common_numerators
 
 
@@ -81,21 +109,213 @@ class FeasibilityResult:
     farkas: list | None  # length-m certificate when infeasible
 
 
+@dataclass
+class SimplexStats:
+    """What one solver did: pivots per phase (phase one includes the
+    pivots that drive artificials out), pivots whose leaving row had
+    right-hand side 0, the largest bit length of D reached, and wall time
+    per phase (phase one is the whole construction; phase two is summed
+    over every ``minimize``/``maximize``)."""
+
+    phase_one_pivots: int = 0
+    phase_two_pivots: int = 0
+    degenerate_pivots: int = 0
+    d_bits: int = 0
+    phase_one_s: float = 0.0
+    phase_two_s: float = 0.0
+
+
+_SUM_LIMIT = 1 << 32  # a matrix is int64 while every column abs-sum stays below
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+_INT64_MAX = (1 << 63) - 1
+_BLOCK = 128  # columns of R A built at a time by the lexicographic test
+
+
 def _exact(value):
     # ints pass through: they carry numerator/denominator already
     return value if type(value) is int else rat(value)
 
 
+class _Matrix:
+    """An integer matrix M, read by column and multiplied exactly: Y M.
+
+    While every column abs-sum of M stays below 2**32 (``bound``), M is held
+    as int64 and as float64.  A product splits Y into base-2**s digits,
+    each carrying its entry's sign, with 2**s * bound <= 2**53: every
+    partial sum of a digit's product with M is then an integer below 2**53,
+    exact in float64 whatever order the BLAS adds in.  Otherwise M is held
+    as Python ints (bound 0), and so are its products.
+    """
+
+    def __init__(self, ints: np.ndarray) -> None:
+        bound = 0
+        if ints.dtype != object and ints.size:
+            # entries below 2**32 keep the int64 column sums exact
+            top = max(int(ints.max()), -int(ints.min()))
+            bound = int(np.abs(ints).sum(axis=0).max()) if top < _SUM_LIMIT else _SUM_LIMIT
+            if bound >= _SUM_LIMIT:
+                ints, bound = ints.astype(object), 0
+        ints.flags.writeable = False
+        self.ints = ints
+        self.bound = bound
+        self.floats = ints.astype(np.float64) if bound else None
+        self.shift = ((_FLOAT_EXACT - 1) // bound).bit_length() - 1 if bound else 0
+
+    @classmethod
+    def of(cls, rows: list[list[int]], n: int) -> "_Matrix":
+        try:
+            ints = np.array(rows, dtype=np.int64)
+        except OverflowError:  # an entry beyond int64
+            ints = np.array(rows, dtype=object)
+        return cls(ints.reshape(len(rows), n))
+
+    def stacked(self, row: list[int]) -> "_Matrix":
+        """[M; row]."""
+        extra = _Matrix.of([row], len(row))
+        if self.bound and extra.ints.dtype != object and self.bound + extra.bound < _SUM_LIMIT:
+            return _Matrix(np.vstack([self.ints, extra.ints]))
+        return _Matrix(np.vstack([self.ints.astype(object), extra.ints.astype(object)]))
+
+    def parts(self, Y: np.ndarray, cols: slice = slice(None)) -> tuple[np.ndarray, int]:
+        """(P, s) with Y M[:, cols] = sum over l of P[l] * 2**(s*l), exactly,
+        for an integer Y (int64 or Python ints): int64 products of the
+        digits of Y, or (bound 0) one product in Python ints, with s = 0."""
+        if not self.bound:
+            return (Y.astype(object) @ self.ints[:, cols])[None], 0
+        s = self.shift
+        top = int(np.abs(Y).max()) if Y.size else 0
+        if top < 1 << s:
+            digits = Y.astype(np.float64)[None]
+        else:
+            negative, magnitude, mask = Y < 0, np.abs(Y), (1 << s) - 1
+            digits = np.stack([
+                np.where(negative, -d, d)
+                for d in ((magnitude >> shift) & mask for shift in range(0, top.bit_length(), s))
+            ]).astype(np.float64)
+        return (digits @ self.floats[:, cols]).astype(np.int64), s
+
+    def product(self, Y: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+        """Exact Y M[:, cols], as an int64 or object array."""
+        parts, s = self.parts(Y, cols)
+        out = parts[-1]
+        for part in parts[-2::-1]:
+            out = (out.astype(object) << s) + part
+        return out
+
+    def extreme(self, y: list[int], largest: bool) -> tuple[int, int]:
+        """(j, v): the first column j where v = (y M)_j is largest (or
+        smallest), found without building Python ints.
+
+        The parts are carried into H * 2**(s*(L-1)) + sum of r_l * 2**(s*l)
+        with 0 <= r_l < 2**s, which orders like (H, r_(L-2), ..., r_0)."""
+        parts, s = self.parts(_narrow(np.array([y], dtype=object)))
+        parts = parts[:, 0]
+        if len(parts) == 1:
+            j = int(np.argmax(parts[0]) if largest else np.argmin(parts[0]))
+            return j, int(parts[0][j])
+        keys, carry = [], 0
+        for part in parts[:-1]:
+            total = part + carry
+            keys.append(total & ((1 << s) - 1))
+            carry = total >> s
+        keys.append(parts[-1] + carry)
+        pick = np.ones(parts.shape[1], dtype=bool)
+        for key in reversed(keys):
+            chosen = key[pick]
+            pick &= key == (chosen.max() if largest else chosen.min())
+        j = int(np.argmax(pick))
+        return j, sum(int(part[j]) << (s * l) for l, part in enumerate(parts))
+
+
+def _bareiss(
+    R: np.ndarray, column: np.ndarray, prow: np.ndarray, piv: int, D: int
+) -> np.ndarray:
+    """(R * piv - column (x) prow) // D, where every division is exact.
+
+    An int64 R stays int64 while that is exact.  With top = max|R| *
+    max|column|, which bounds |a * piv| and |f * c|: directly if 2 * top
+    and D fit in int64.  Otherwise, if the quotients are below 2**61, from their
+    float64 estimates q, each within 2**-49 * top / D + 1/2 of the quotient
+    (nine roundings of relative size 2**-53 at most), corrected by the
+    remainder R * piv - column (x) prow - q * D: int64 arithmetic gets it
+    modulo 2**64, and it is exactly (quotient - q) * D, below 2**62 in
+    magnitude.  Else in Python ints, as for an object R.
+    """
+    if R.dtype != object:
+        top = int(np.abs(R).max()) * int(np.abs(column).max())
+        if 2 * top <= _INT64_MAX and D <= _INT64_MAX:
+            return (R * piv - np.multiply.outer(column, prow)) // D
+        if top // D < 1 << 60 and (top >> 47) + 2 * D < 1 << 62:
+            floats = R.astype(np.float64) * float(piv) - np.multiply.outer(
+                column.astype(np.float64), prow.astype(np.float64)
+            )
+            estimate = np.rint(floats / float(D)).astype(np.int64)
+            remainder = R * piv - np.multiply.outer(column, prow) - estimate * D
+            if (remainder % D).any():
+                raise InternalError("inexact Bareiss quotient")
+            return estimate + remainder // D
+        R, column, prow = R.astype(object), column.astype(object), prow.astype(object)
+    return (R * piv - np.multiply.outer(column, prow)) // D
+
+
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """An object array of ints as int64 when every |entry| <= 2**63 - 1."""
+    if arr.dtype == object:
+        try:
+            narrow = arr.astype(np.int64)
+        except OverflowError:
+            return arr
+        if not (narrow == -_INT64_MAX - 1).any():
+            return narrow
+    return arr
+
+
+def _scan(cands: list[int], column: list[int], block: np.ndarray) -> list[int]:
+    """Break the tie among ``cands`` over the columns of an exact integer
+    block whose rows belong to ``cands``, column by column: keep the
+    candidates minimizing block[i][j] / column[i].  A column where every
+    remaining candidate's entry is 0 keeps the tie."""
+    rows = dict(zip(cands, block.tolist()))
+    for j in range(block.shape[1]):
+        if len(cands) == 1:
+            break
+        entries = [rows[i][j] for i in cands]
+        if any(entries):
+            cands = _smallest(cands, column, entries)
+    return cands
+
+
+def _smallest(cands: list[int], column: list[int], entries: list[int]) -> list[int]:
+    """The candidates i (in order) minimizing entries / column[i], column[i] > 0.
+
+    ``entries`` holds each candidate's entry, in the order of ``cands``;
+    quotients are compared by cross-multiplication.
+    """
+    best = cands[0]
+    bn, bd = entries[0], column[best]
+    keep = [best]
+    for i, e in zip(cands[1:], entries[1:]):
+        lhs, rhs = e * bd, bn * column[i]
+        if lhs < rhs:
+            bn, bd = e, column[i]
+            keep = [i]
+        elif lhs == rhs:
+            keep.append(i)
+    return keep
+
+
 class ExactSimplex:
-    """Equality-form tableau simplex over exact rationals, on integers inside.
+    """Equality-form revised simplex over exact rationals, on integers inside.
 
     Construction runs phase one immediately.  When feasible, the artificial
     variables are driven out of the basis (redundant rows dropped) and
     ``minimize`` / ``maximize`` re-optimize from the current basis, leaving
-    the optimal multipliers of the original rows in ``dual``.
+    the optimal multipliers of the original rows in ``dual``.  ``stats``
+    counts the work done.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence) -> None:
+        start = time.perf_counter()
         self.n = n = len(rows[0]) if rows else 0
         m = len(rows)
         if len(rhs) != m:
@@ -104,117 +324,136 @@ class ExactSimplex:
         for row in rows:
             if len(row) != n:
                 raise ValueError("ragged constraint matrix")
-            flat.extend(_exact(v) for v in row)
-        nums, self._scale_a = to_common_numerators(flat)
+            flat.extend(row)
+        if all(type(v) is int for v in flat):  # the deciders' 0/1 systems
+            nums, self._scale_a = flat, 1
+        else:
+            nums, self._scale_a = to_common_numerators([_exact(v) for v in flat])
         b_nums, self._scale_b = to_common_numerators([_exact(v) for v in rhs])
         # Original row order is preserved for certificate reporting; rows
         # with negative rhs are sign-flipped internally.
-        signs = []
-        N: list[list[int]] = []
-        for i in range(m):
-            row = nums[i * n : (i + 1) * n]
-            b = b_nums[i]
-            if b < 0:
-                row = [-v for v in row]
-                b = -b
-                signs.append(-1)
-            else:
-                signs.append(1)
-            art = [0] * m
-            art[i] = 1
-            N.append(row + art + [b])
-        self._signs = signs
-        self._N = N
+        self._signs = signs = [-1 if b < 0 else 1 for b in b_nums]
+        A = _Matrix.of([nums[i * n : (i + 1) * n] for i in range(m)], n)
+        if -1 in signs:
+            A = _Matrix(A.ints * np.array(signs, dtype=A.ints.dtype)[:, None])
+        self._A = A
+        # [R | R b] of the all-artificial basis: [I | b]
+        R = np.zeros((m, m + 1), dtype=object)
+        R[range(m), range(m)] = 1
+        R[:, m] = [abs(b) for b in b_nums]
+        self._R = _narrow(R)
         self._D = 1
         self._basis = [n + i for i in range(m)]
         self.farkas: list | None = None
         self.dual: list | None = None
+        self.stats = SimplexStats()
         self.feasible = self._phase_one(m)
         if self.feasible:
             self._eliminate_artificials()
+        self.stats.phase_one_s = time.perf_counter() - start
 
     # -- shared pivot machinery --------------------------------------------
 
-    def _pivot(self, leave: int, col: int, obj: list | None = None) -> list | None:
-        """Integer-preserving pivot; returns ``obj`` updated the same way."""
-        N = self._N
+    def _column(self, col: int) -> np.ndarray:
+        """N[:, col] = R A_col, the entering column's tableau entries; in
+        int64 when max|R| * bound fits, else in Python ints."""
+        A = self._A.ints
+        hits = np.flatnonzero(A[:, col])
+        values = A[hits, col]
+        R = self._R[:, hits]
+        if (R.dtype == values.dtype == np.int64
+                and int(np.abs(R).max(initial=0)) * self._A.bound <= _INT64_MAX):
+            return R @ values
+        return _narrow(R.astype(object) @ values.astype(object))
+
+    def _pivot(
+        self, leave: int, col: int, column: np.ndarray, obj: list | None = None, f: int = 0
+    ) -> list | None:
+        """Integer-preserving pivot on column[leave] = N[leave][col].
+
+        Returns the objective row ``obj`` (its artificial and right-hand-side
+        part) updated the same way; ``f`` is its priced entry at ``col``.
+        Rows are replaced, never written in place, so copies share R.
+        """
+        R = self._R
         D = self._D
-        prow = N[leave]
-        piv = prow[col]
+        prow = R[leave]
+        if prow[-1] == 0:
+            self.stats.degenerate_pivots += 1
+        piv = int(column[leave])
         if piv < 0:
-            prow = N[leave] = [-v for v in prow]
+            prow = -prow
             piv = -piv
-
-        def update(row: list) -> list:
-            f = row[col]
-            if f:
-                return [(a * piv - f * c) // D for a, c in zip(row, prow)]
-            if piv == D:
-                return row
-            return [a * piv // D if a else 0 for a in row]
-
-        for i in range(len(N)):
-            if i != leave:
-                N[i] = update(N[i])
+        R = _bareiss(R, column, prow, piv, D)
+        R[leave] = prow
+        self._R = _narrow(R)
         self._D = piv
+        self.stats.d_bits = max(self.stats.d_bits, piv.bit_length())
         self._basis[leave] = col
-        return None if obj is None else update(obj)
+        if obj is None:
+            return None
+        if f:
+            return [(a * piv - f * c) // D for a, c in zip(obj, prow.tolist())]
+        return [a * piv // D for a in obj]
 
-    def _ratio_test(self, col: int) -> int:
+    def _ratio_test(self, column: list[int]) -> int:
         """Lexicographic leaving row, or -1 if the column is unbounded.
 
         Among the rows minimizing rhs / pivot, pick the one whose whole
-        scaled row is lexicographically smallest.  Distinct rows can never
-        tie across every column (the basic columns embed an identity), so
-        the choice is unique and the pivot sequence cannot cycle.  D is
-        common to every row, so quotients of N entries are compared by
-        cross-multiplication.
+        scaled tableau row (structural columns, then artificial ones) is
+        lexicographically smallest.  Distinct rows can never tie across
+        every column (the basic columns embed an identity), so the choice
+        is unique and the pivot sequence cannot cycle.  The structural part
+        of a row is R[i] A, built only for the rows still tied, a block of
+        columns at a time (``_scan``).
         """
-        N = self._N
-        candidates = [i for i in range(len(N)) if N[i][col] > 0]
-        if not candidates:
+        R = self._R
+        m = R.shape[1] - 1
+        cands = [i for i, a in enumerate(column) if a > 0]
+        if not cands:
             return -1
-        for j in [-1, *range(len(N[0]) - 1)]:
-            if len(candidates) == 1:
+        if len(cands) > 1:
+            cands = _smallest(cands, column, R[cands, m].tolist())
+        for start in range(0, self.n, _BLOCK):
+            if len(cands) == 1:
                 break
-            best = candidates[0]
-            bn, bd = N[best][j], N[best][col]
-            keep = [best]
-            for i in candidates[1:]:
-                row = N[i]
-                lhs, rhs = row[j] * bd, bn * row[col]
-                if lhs < rhs:
-                    bn, bd = row[j], row[col]
-                    keep = [i]
-                elif lhs == rhs:
-                    keep.append(i)
-            candidates = keep
-        return candidates[0]
+            block = self._A.product(R[cands, :m], slice(start, start + _BLOCK))
+            cands = _scan(cands, column, block)
+        if len(cands) > 1:
+            cands = _scan(cands, column, R[cands, :m])
+        return cands[0]
+
+    def _enter(self, col: int, obj: list, f: int) -> list | None:
+        """Pivot ``col`` into the basis; None if no row limits it."""
+        column = self._column(col)
+        leave = self._ratio_test(column.tolist())
+        if leave < 0:
+            return None
+        return self._pivot(leave, col, column, obj, f)
 
     # -- phase one -----------------------------------------------------------
 
     def _phase_one(self, m: int) -> bool:
-        N = self._N
         n = self.n
-        # z[j] / D = y' A_j of the scaled system for the running multipliers
-        # y = costs of the artificial basis; starts as the column sums since
-        # every artificial has cost 1.  z[-1] / D is the residual
-        # infeasibility.
-        z = [sum(column) for column in zip(*N)] if N else [0] * (n + 1)
-        while True:
-            best = max(z[:n], default=0)
+        # z / D = y' [A | I | b] of the scaled system for the running
+        # multipliers y = costs of the artificial basis; only [z_art | z_rhs]
+        # is kept, and z_struct = z_art A is priced.  It starts as the
+        # column sums: every artificial has cost 1.  z_rhs / D is the
+        # residual infeasibility.
+        z = [1] * m + [sum(self._R[:, m].tolist())]
+        while n:
+            col, best = self._A.extreme(z[:m], largest=True)
             if best <= 0:
                 break  # optimal
-            col = z.index(best)
-            leave = self._ratio_test(col)
-            if leave < 0:
+            z = self._enter(col, z, best)
+            if z is None:
                 # Cannot happen: the phase-one objective is bounded below by 0.
                 raise TaildepError("phase-one ratio test failed")
-            z = self._pivot(leave, col, z)
+            self.stats.phase_one_pivots += 1
         if z[-1] > 0:
-            # Infeasible: multipliers live in the artificial columns.
+            # Infeasible: the multipliers are the artificial part.
             D = self._D
-            self.farkas = [Rat(s * z[n + i], D) for i, s in enumerate(self._signs)]
+            self.farkas = [Rat(s * z[i], D) for i, s in enumerate(self._signs)]
             return False
         return True
 
@@ -224,29 +463,31 @@ class ExactSimplex:
         All artificials sit at level 0 here, so any pivot on a nonzero
         structural entry of their row is feasibility-preserving.  A row with
         no structural entry left is a redundant original constraint.  The
-        artificial columns stay in the tableau for the dual read-out.
+        rows keep their artificial part R for the dual read-out.
         """
-        N = self._N
         n = self.n
+        m = len(self._R)
         keep = []
-        for i in range(len(N)):
+        for i in range(m):
             if self._basis[i] >= n:
-                col = next((j for j in range(n) if N[i][j] != 0), None)
-                if col is None:
+                entries = np.flatnonzero(self._A.product(self._R[i : i + 1, :m])[0])
+                if not entries.size:
                     continue  # redundant row
-                self._pivot(i, col)
+                col = int(entries[0])
+                self._pivot(i, col, self._column(col))
+                self.stats.phase_one_pivots += 1
             keep.append(i)
-        self._N = [N[i] for i in keep]
+        self._R = self._R[keep]
         self._basis = [self._basis[i] for i in keep]
 
     def copy(self) -> "ExactSimplex":
         """An independent solver at the same basis; optimizing one leaves the
-        other where it was.  Pivots replace rows rather than mutate them, so
-        the rows are shared."""
+        other where it was.  Pivots replace R rather than write into it, so
+        R (and the read-only A) are shared."""
         twin = object.__new__(ExactSimplex)
         twin.__dict__.update(self.__dict__)
-        twin._N = list(self._N)
         twin._basis = list(self._basis)
+        twin.stats = dataclasses.replace(self.stats)
         return twin
 
     # -- extraction ------------------------------------------------------------
@@ -256,8 +497,8 @@ class ExactSimplex:
             raise TaildepError("no witness: system is infeasible")
         x = [ZERO] * self.n
         D = self._D
-        for i, j in enumerate(self._basis):
-            x[j] = Rat(self._N[i][-1] * self._scale_a, D * self._scale_b)
+        for v, j in zip(self._R[:, -1].tolist(), self._basis):
+            x[j] = Rat(v * self._scale_a, D * self._scale_b)
         return x
 
     # -- phase two ---------------------------------------------------------------
@@ -268,34 +509,33 @@ class ExactSimplex:
             raise TaildepError("cannot optimize an infeasible system")
         if len(costs) != self.n:
             raise ValueError(f"expected {self.n} costs, got {len(costs)}")
+        start = time.perf_counter()
         n = self.n
         signs = self._signs
+        m = len(signs)
         c, scale = to_common_numerators([_exact(v) for v in costs])
-        N = self._N
         # rc / (scale * D) = c - c_B' B^-1 [A | I | b] of the scaled system,
         # with zero cost on the artificials and on b: the reduced costs,
         # minus the multipliers, then minus the objective value in the
-        # scaled variables.
-        D = self._D
-        rc = [cj * D for cj in c] + [0] * (len(signs) + 1)
-        for i, j in enumerate(self._basis):
-            f = c[j]
-            if f:
-                rc = [r - f * v for r, v in zip(rc, N[i])]
-        while True:
-            best = min(rc[:n], default=0)
-            if best >= 0:
-                break
-            col = rc.index(best)
-            leave = self._ratio_test(col)
-            if leave < 0:
-                raise UnboundedObjective("objective unbounded over the feasible cone")
-            rc = self._pivot(leave, col, rc)
+        # scaled variables.  Only [rc_art | rc_rhs] = -c_B' [R | R b] is
+        # kept; rc_struct = [rc_art, D] [A; c] is priced.
+        c_basic = np.array([-c[j] for j in self._basis], dtype=object)
+        rc = (c_basic @ self._R).tolist() if len(c_basic) else [0] * (m + 1)
+        priced = self._A.stacked(c)
+        try:
+            while n:
+                col, best = priced.extreme(rc[:m] + [self._D], largest=False)
+                if best >= 0:
+                    break
+                rc = self._enter(col, rc, best)
+                if rc is None:
+                    raise UnboundedObjective("objective unbounded over the feasible cone")
+                self.stats.phase_two_pivots += 1
+        finally:
+            self.stats.phase_two_s += time.perf_counter() - start
         D = self._D
         # Undo the row signs and the two scalings: y_i of the original rows.
-        self.dual = [
-            Rat(-s * rc[n + i] * self._scale_a, scale * D) for i, s in enumerate(signs)
-        ]
+        self.dual = [Rat(-s * rc[i] * self._scale_a, scale * D) for i, s in enumerate(signs)]
         value = Rat(-rc[-1] * self._scale_a, scale * D * self._scale_b)
         return value, self.witness()
 

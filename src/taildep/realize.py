@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .coeffs import Kind, SubsetFn, TdMatrix, lambda_from_beta, soft_max_p
+import numpy as np
+
+from .coeffs import Kind, SubsetFn, TdMatrix, _store, lambda_from_beta, soft_max_p
 from .errors import (
     CertificateRejected,
     DegenerateReduction,
@@ -33,7 +35,7 @@ from .errors import (
     SizeLimitError,
 )
 from .lp import ExactSimplex
-from .rationals import Rat, RatLike, ZERO, rat
+from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
 from .spectral import (
     CutDecomposition,
     SemiMetric,
@@ -43,7 +45,7 @@ from .spectral import (
 from .subsets import full_mask
 from .tm import TmModel, synthesize
 
-DEFAULT_MAX_P = 14
+DEFAULT_MAX_P = 13  # p = 13 answers took 2.7-44 s (BENCH_6.json)
 
 
 def _guard(p: int, max_p: int | None) -> None:
@@ -268,20 +270,40 @@ def _verify_farkas(
     rhs: Sequence[Rat],
     column_hits: callable,
 ) -> bool:
+    """Check y'b > 0 and y'A_J <= 0 for every column J, in integers.
+
+    With y = ys / q (q > 0, common denominator) and b = bs / r (r > 0),
+    every pairing has the sign of its numerator: ys'bs, and the sum of ys
+    over the rows whose pair ``column_hits`` reports in J (vectorized over
+    the column masks).
+    """
     if len(farkas) != len(row_pairs):
         raise CertificateRejected("certificate length does not match row count")
-    if sum((y * b for y, b in zip(farkas, rhs)), ZERO) <= 0:
+    ys, _ = to_common_numerators(farkas)
+    bs, _ = to_common_numerators(rhs)
+    if sum(y * b for y, b in zip(ys, bs)) <= 0:
         raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
-    for mask in cols:
-        pairing = sum(
-            (y for (pair, y) in zip(row_pairs, farkas) if column_hits(mask, pair)),
-            ZERO,
-        )
-        if pairing > 0:
-            raise CertificateRejected(
-                f"Farkas pairing with column {mask} is positive"
-            )
+    masks = np.array(cols, dtype=np.int64)
+    # q * y'A_J; int64 when sum(|ys|) fits (``_store``), so no load overflows
+    loads = np.zeros(len(cols), dtype=_store(ys).dtype)
+    for y, pair in zip(ys, row_pairs):
+        if y:
+            loads[column_hits(masks, pair)] += y
+    positive = np.flatnonzero(loads > 0)
+    if positive.size:
+        raise CertificateRejected(f"Farkas pairing with column {cols[positive[0]]} is positive")
     return True
+
+
+def _covers(masks: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """TDR: which subsets contain both ends of the pair."""
+    need = (1 << pair[0]) | (1 << pair[1])
+    return masks & need == need
+
+
+def _separates(masks: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """SDR: which cuts put the two ends of the pair on different sides."""
+    return (masks >> pair[0] & 1) != (masks >> pair[1] & 1)
 
 
 def verify_certificate(
@@ -289,9 +311,9 @@ def verify_certificate(
 ) -> bool:
     """Re-check a witness or Farkas certificate by direct summation.
 
-    Uses nothing from the solver: plain loops over subsets and constraint
-    rows in exact arithmetic.  Returns True, or raises CertificateRejected
-    with the first discrepancy.
+    Uses nothing from the solver: plain sums over subsets and constraint
+    rows in exact integer arithmetic, over common denominators.  Returns
+    True, or raises CertificateRejected with the first discrepancy.
     """
     if outcome.problem == "tdr":
         if not isinstance(instance, TdMatrix):
@@ -299,30 +321,26 @@ def verify_certificate(
         L = instance
         if outcome.p != L.p:
             raise CertificateRejected("dimension mismatch")
+        masks = np.arange(1, 1 << L.p, dtype=np.int64)
         if outcome.status is Status.FEASIBLE:
             beta = outcome.witness_beta
-            if beta is None or any(v < 0 for v in beta.values):
+            if beta is None:
+                raise CertificateRejected("missing or negative witness")
+            nums, den = to_common_numerators(beta.values)  # beta = nums / den
+            weights = _store(nums)  # int64 when sum(|nums|) fits: exact sums
+            if weights.min() < 0:
                 raise CertificateRejected("missing or negative witness")
             for i, j in outcome.row_pairs:
-                need = (1 << i) | (1 << j)
-                total = sum(
-                    (v for mask, v in beta.entries() if mask & need == need), ZERO
-                )
-                if total != L.lam[i][j]:
+                total = int(weights[_covers(masks, (i, j))].sum())
+                lam = L.lam[i][j]
+                if total * lam.denominator != lam.numerator * den:
                     raise CertificateRejected(
-                        f"witness pair sum at ({i + 1},{j + 1}) is {total}, "
+                        f"witness pair sum at ({i + 1},{j + 1}) is {Rat(total, den)}, "
                         f"expected {L.lam[i][j]}"
                     )
             return True
         rhs = [L.lam[i][j] for i, j in outcome.row_pairs]
-        return _verify_farkas(
-            outcome.row_pairs,
-            outcome.farkas,
-            list(range(1, 1 << L.p)),
-            rhs,
-            lambda mask, pair: mask & ((1 << pair[0]) | (1 << pair[1]))
-            == ((1 << pair[0]) | (1 << pair[1])),
-        )
+        return _verify_farkas(outcome.row_pairs, outcome.farkas, masks.tolist(), rhs, _covers)
 
     if outcome.problem == "sdr":
         if not isinstance(instance, SemiMetric):
@@ -354,11 +372,7 @@ def verify_certificate(
             return True
         rhs = [d.d[i][j] for i, j in outcome.row_pairs]
         return _verify_farkas(
-            outcome.row_pairs,
-            outcome.farkas,
-            canonical_cuts(d.p),
-            rhs,
-            lambda mask, pair: (mask >> pair[0] & 1) != (mask >> pair[1] & 1),
+            outcome.row_pairs, outcome.farkas, canonical_cuts(d.p), rhs, _separates
         )
 
     raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")

@@ -5,7 +5,9 @@ defining sums, deliberately sharing no code with the transforms under test.
 The sampler and exact-law references are earlier, plainer implementations
 kept to pin that the faster ones return the same bytes; the rigidity
 reference is the objective-cycling probe that the exact uniqueness decider
-replaced, kept to pin that the decider reports what it reported.
+replaced, kept to pin that the decider reports what it reported; the dense
+simplex is the Bareiss tableau that the revised simplex in ``lp`` replaced,
+kept to pin that it makes the same pivots.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from taildep.coeffs import Kind, SubsetFn
-from taildep.lp import ExactSimplex
-from taildep.rationals import ZERO, Rat, rat
+from taildep.errors import TaildepError, UnboundedObjective
+from taildep.lp import ExactSimplex, SimplexStats
+from taildep.rationals import ZERO, Rat, rat, to_common_numerators
 from taildep.realize import cut_system
 from taildep.spectral import CutDecomposition, RigidityReport
 
@@ -279,3 +282,182 @@ def fraction_certificate_holds(d, report: RigidityReport) -> bool:
         if load < (0 if low else 1):
             return False
     return True
+
+
+def _exact(value):
+    return value if type(value) is int else rat(value)
+
+
+class DenseSimplex:
+    """The dense Bareiss tableau simplex: every pivot rewrites all
+    m x (n + m + 1) entries of N = D * B^-1 [A | I | b].
+
+    Same entering rule, ratio test and answers as ``lp.ExactSimplex``, and
+    the same ``stats`` counters (not the timings), so a test can require
+    both to make the same pivots.
+    """
+
+    def __init__(self, rows, rhs) -> None:
+        self.n = n = len(rows[0]) if rows else 0
+        m = len(rows)
+        if len(rhs) != m:
+            raise ValueError("rhs length does not match row count")
+        flat = []
+        for row in rows:
+            if len(row) != n:
+                raise ValueError("ragged constraint matrix")
+            flat.extend(_exact(v) for v in row)
+        nums, self._scale_a = to_common_numerators(flat)
+        b_nums, self._scale_b = to_common_numerators([_exact(v) for v in rhs])
+        signs = []
+        N: list[list[int]] = []
+        for i in range(m):
+            row = nums[i * n : (i + 1) * n]
+            b = b_nums[i]
+            if b < 0:
+                row = [-v for v in row]
+                b = -b
+                signs.append(-1)
+            else:
+                signs.append(1)
+            art = [0] * m
+            art[i] = 1
+            N.append(row + art + [b])
+        self._signs = signs
+        self._N = N
+        self._D = 1
+        self._basis = [n + i for i in range(m)]
+        self.farkas = None
+        self.dual = None
+        self.stats = SimplexStats()
+        self.feasible = self._phase_one(m)
+        if self.feasible:
+            self._eliminate_artificials()
+
+    def _pivot(self, leave: int, col: int, obj: list | None = None) -> list | None:
+        N = self._N
+        D = self._D
+        prow = N[leave]
+        if prow[-1] == 0:
+            self.stats.degenerate_pivots += 1
+        piv = prow[col]
+        if piv < 0:
+            prow = N[leave] = [-v for v in prow]
+            piv = -piv
+
+        def update(row: list) -> list:
+            f = row[col]
+            if f:
+                return [(a * piv - f * c) // D for a, c in zip(row, prow)]
+            if piv == D:
+                return row
+            return [a * piv // D if a else 0 for a in row]
+
+        for i in range(len(N)):
+            if i != leave:
+                N[i] = update(N[i])
+        self._D = piv
+        self.stats.d_bits = max(self.stats.d_bits, piv.bit_length())
+        self._basis[leave] = col
+        return None if obj is None else update(obj)
+
+    def _ratio_test(self, col: int) -> int:
+        N = self._N
+        candidates = [i for i in range(len(N)) if N[i][col] > 0]
+        if not candidates:
+            return -1
+        for j in [-1, *range(len(N[0]) - 1)]:
+            if len(candidates) == 1:
+                break
+            best = candidates[0]
+            bn, bd = N[best][j], N[best][col]
+            keep = [best]
+            for i in candidates[1:]:
+                row = N[i]
+                lhs, rhs = row[j] * bd, bn * row[col]
+                if lhs < rhs:
+                    bn, bd = row[j], row[col]
+                    keep = [i]
+                elif lhs == rhs:
+                    keep.append(i)
+            candidates = keep
+        return candidates[0]
+
+    def _phase_one(self, m: int) -> bool:
+        N = self._N
+        n = self.n
+        z = [sum(column) for column in zip(*N)] if N else [0] * (n + 1)
+        while True:
+            best = max(z[:n], default=0)
+            if best <= 0:
+                break
+            col = z.index(best)
+            leave = self._ratio_test(col)
+            if leave < 0:
+                raise TaildepError("phase-one ratio test failed")
+            z = self._pivot(leave, col, z)
+            self.stats.phase_one_pivots += 1
+        if z[-1] > 0:
+            D = self._D
+            self.farkas = [Rat(s * z[n + i], D) for i, s in enumerate(self._signs)]
+            return False
+        return True
+
+    def _eliminate_artificials(self) -> None:
+        N = self._N
+        n = self.n
+        keep = []
+        for i in range(len(N)):
+            if self._basis[i] >= n:
+                col = next((j for j in range(n) if N[i][j] != 0), None)
+                if col is None:
+                    continue
+                self._pivot(i, col)
+                self.stats.phase_one_pivots += 1
+            keep.append(i)
+        self._N = [N[i] for i in keep]
+        self._basis = [self._basis[i] for i in keep]
+
+    def witness(self) -> list:
+        if not self.feasible:
+            raise TaildepError("no witness: system is infeasible")
+        x = [ZERO] * self.n
+        D = self._D
+        for i, j in enumerate(self._basis):
+            x[j] = Rat(self._N[i][-1] * self._scale_a, D * self._scale_b)
+        return x
+
+    def minimize(self, costs):
+        if not self.feasible:
+            raise TaildepError("cannot optimize an infeasible system")
+        n = self.n
+        signs = self._signs
+        c, scale = to_common_numerators([_exact(v) for v in costs])
+        N = self._N
+        D = self._D
+        rc = [cj * D for cj in c] + [0] * (len(signs) + 1)
+        for i, j in enumerate(self._basis):
+            f = c[j]
+            if f:
+                rc = [r - f * v for r, v in zip(rc, N[i])]
+        while True:
+            best = min(rc[:n], default=0)
+            if best >= 0:
+                break
+            col = rc.index(best)
+            leave = self._ratio_test(col)
+            if leave < 0:
+                raise UnboundedObjective("objective unbounded over the feasible cone")
+            rc = self._pivot(leave, col, rc)
+            self.stats.phase_two_pivots += 1
+        D = self._D
+        self.dual = [
+            Rat(-s * rc[n + i] * self._scale_a, scale * D) for i, s in enumerate(signs)
+        ]
+        value = Rat(-rc[-1] * self._scale_a, scale * D * self._scale_b)
+        return value, self.witness()
+
+    def maximize(self, costs):
+        value, x = self.minimize([-rat(v) for v in costs])
+        self.dual = [-v for v in self.dual]
+        return -value, x

@@ -287,6 +287,19 @@ def test_transform_values_have_int_parts(beta, bits):
             assert type(q.numerator) is int and type(q.denominator) is int
 
 
+def test_item_read_builds_no_rationals():
+    rng = np.random.default_rng(16)
+    nums = rng.integers(0, 9, size=(1 << 16) - 1).tolist()
+    beta = SubsetFn.from_values(16, [rat(v, 8) for v in nums], Kind.BETA, allow_large=True)
+    masks = [1, 3, 0b1010, 1 << 15, (1 << 16) - 1]
+    huge = beta.scaled(1 << 70)  # numerators beyond int64
+    for fn in (lambda_from_beta(beta), theta_from_beta(beta), lambda_from_beta(huge)):
+        reads = [fn[mask] for mask in masks]
+        assert fn._values is None
+        assert reads == [fn.values[mask - 1] for mask in masks]
+        assert all(type(q.numerator) is int and type(q.denominator) is int for q in reads)
+
+
 def test_stored_numerators_are_read_only():
     beta = line_fixture_model().beta
     for fn in (beta, lambda_from_beta(beta), beta.scaled(3), beta.with_kind(Kind.RAW)):

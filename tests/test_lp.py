@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,13 +10,16 @@ from taildep.errors import UnboundedObjective
 from taildep.instances import (
     k23_metric,
     pair_matrix_from_beta,
+    random_cut_metric,
     random_graph_metric,
     random_unit_margin_beta,
     violate_triangle,
 )
-from taildep.lp import ExactSimplex, solve_feasibility
+from taildep.lp import ExactSimplex, _Matrix, solve_feasibility
 from taildep.rationals import ZERO, rat
 from taildep.realize import cut_system, tdr_system
+
+from oracles import DenseSimplex
 
 
 def farkas_is_valid(rows, rhs, y):
@@ -329,9 +333,9 @@ def test_artificial_elimination_pivots_on_a_negative_entry(monkeypatch):
     entries = []
     pivot = ExactSimplex._pivot
 
-    def spy(self, leave, col, obj=None):
-        entries.append(self._N[leave][col])
-        return pivot(self, leave, col, obj)
+    def spy(self, leave, col, column, *rest):
+        entries.append(column[leave])
+        return pivot(self, leave, col, column, *rest)
 
     monkeypatch.setattr(ExactSimplex, "_pivot", spy)
     lp = ExactSimplex(rows, rhs)
@@ -342,3 +346,183 @@ def test_artificial_elimination_pivots_on_a_negative_entry(monkeypatch):
     assert lp.maximize(costs) == (13, [0, 2, 3, 0])
     assert _brute_minimum(rows, rhs, costs)[2] == 4
     assert _brute_minimum(rows, rhs, [-c for c in costs])[2] == -13
+
+
+# ---------------------------------------------------------------------------
+# Pivot equivalence with the dense Bareiss tableau this solver replaced
+# (``oracles.DenseSimplex``): the same (leaving row, entering column)
+# sequence, the same answers and the same counters.
+# ---------------------------------------------------------------------------
+
+_COUNTERS = ("phase_one_pivots", "phase_two_pivots", "degenerate_pivots", "d_bits")
+
+
+def _pivot_log(monkeypatch, cls) -> list:
+    log = []
+    pivot = cls._pivot
+
+    def spy(self, leave, col, *rest):
+        log.append((leave, col))
+        return pivot(self, leave, col, *rest)
+
+    monkeypatch.setattr(cls, "_pivot", spy)
+    return log
+
+
+def _assert_same_run(monkeypatch, rows, rhs, objectives=()):
+    """Run both solvers on the system and every (sense, costs) objective in
+    turn, warm-started; require equal pivots, answers and counters."""
+    log_new = _pivot_log(monkeypatch, ExactSimplex)
+    log_old = _pivot_log(monkeypatch, DenseSimplex)
+    new, old = ExactSimplex(rows, rhs), DenseSimplex(rows, rhs)
+    assert log_new == log_old
+    assert new.feasible == old.feasible
+    assert new.farkas == old.farkas
+    if new.feasible:
+        assert new.witness() == old.witness()
+    for sense, costs in objectives if new.feasible else ():
+        answers = []
+        for lp in (new, old):
+            try:
+                answers.append((getattr(lp, sense)(costs), lp.dual))
+            except UnboundedObjective:
+                answers.append("unbounded")
+        assert answers[0] == answers[1]
+        assert log_new == log_old
+    for name in _COUNTERS:
+        assert getattr(new.stats, name) == getattr(old.stats, name), name
+    return new
+
+
+def _tdr_cases():
+    for p in (4, 5, 6, 7):
+        for seed in (1, 2):
+            rng = random.Random(100 * p + seed)
+            L = pair_matrix_from_beta(random_unit_margin_beta(p, rng))
+            yield pytest.param(L, id=f"tdr-p{p}-s{seed}")
+            yield pytest.param(violate_triangle(L, rng), id=f"twin-p{p}-s{seed}")
+
+
+@pytest.mark.parametrize("L", list(_tdr_cases()))
+def test_tdr_pivots_match_dense_tableau(monkeypatch, L):
+    _, rows, rhs = tdr_system(L)
+    n = len(rows[0])
+    objectives = [("minimize", [(7 * j) % 5 - 2 for j in range(n)]), ("maximize", [1] * n)]
+    _assert_same_run(monkeypatch, rows, rhs, objectives)
+
+
+def _sdr_cases():
+    for p in (4, 5, 6, 7):
+        yield pytest.param(random_cut_metric(p, random.Random(p)), id=f"cut-p{p}")
+        yield pytest.param(random_graph_metric(p, random.Random(p)), id=f"graph-p{p}")
+    yield pytest.param(k23_metric(), id="k23")
+
+
+@pytest.mark.parametrize("d", list(_sdr_cases()))
+def test_sdr_pivots_match_dense_tableau(monkeypatch, d):
+    _, rows, rhs = cut_system(d)
+    n = len(rows[0])
+    new = _assert_same_run(monkeypatch, rows, rhs)
+    if new.feasible:
+        # the uniqueness decider's objective, then single-cut ranges
+        outside = [0 if v else 1 for v in new.witness()]
+        unit = [1] + [0] * (n - 1)
+        _assert_same_run(
+            monkeypatch, rows, rhs,
+            [("maximize", outside), ("minimize", unit), ("maximize", unit)],
+        )
+
+
+@given(_small_systems())
+def test_small_system_pivots_match_dense_tableau(system):
+    rows, rhs, costs = system
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_run(
+            monkeypatch, rows, rhs,
+            [("minimize", costs), ("maximize", costs), ("minimize", costs)],
+        )
+
+
+@pytest.mark.parametrize("bits", [4, 12, 16, 20, 24, 28, 40])
+def test_wide_entries_match_dense_tableau(monkeypatch, bits):
+    # 28-bit entries keep A in int64 but push the multipliers past it (the
+    # digit products); 40-bit entries store A as Python ints
+    rng = random.Random(bits)
+    for _ in range(12):
+        m, n = rng.randint(2, 5), rng.randint(3, 8)
+        rows = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(m)]
+        x0 = [rng.randint(0, 3) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x0)) + rng.choice([0, 0, 1]) for row in rows]
+        costs = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+        _assert_same_run(monkeypatch, rows, rhs, [("minimize", costs), ("maximize", costs)])
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([[0, 0], [0, 0]], [0, 1 << 80]),  # zero matrix, huge right-hand side
+        ([[1, 1], [1, -1]], [1 << 80, 1 << 79]),  # R b leaves int64 at once
+        ([[1, 0], [0, 1], [1, 1]], [1 << 62, 1 << 62, (1 << 62) + 1]),  # their sum leaves it
+        ([[1, 2], [1, 1]], [-(1 << 63), 1]),  # |-2**63| leaves int64
+        ([[1 << 40, 1], [3, 1 << 62]], [1 << 41, 1 << 62]),  # A stored as Python ints
+        ([[(1 << 31) - 1, 1], [1, -((1 << 31) - 1)]], [1 << 31, 7]),  # R at the int64 edge
+    ],
+)
+def test_extreme_magnitudes_match_dense_tableau(monkeypatch, rows, rhs):
+    _assert_same_run(monkeypatch, rows, rhs, [("minimize", [1, 2]), ("maximize", [1, 2])])
+
+
+def test_matrix_products_are_exact_past_int64():
+    rng = random.Random(7)
+    rows = [[rng.randint(-(1 << 20), 1 << 20) for _ in range(9)] for _ in range(6)]
+    M = _Matrix.of(rows, 9)
+    assert M.ints.dtype == np.int64 and 0 < M.bound < 1 << 32
+    for bits in (10, 30, 62, 64, 200):
+        Y = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(6)] for _ in range(3)]
+        exact = [[sum(y[k] * rows[k][j] for k in range(6)) for j in range(9)] for y in Y]
+        assert M.product(np.array(Y, dtype=object)).tolist() == exact
+        assert M.product(np.array(Y, dtype=object), slice(2, 5)).tolist() == [e[2:5] for e in exact]
+        for y, values in zip(Y, exact):
+            for largest, pick in ((True, max), (False, min)):
+                best = pick(values)
+                assert M.extreme(y, largest) == (values.index(best), best)
+    # values one apart in the lowest digit, and equal up to their last digit
+    unit = _Matrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    for y in ([(1 << 60) + 1, 1 << 60, 1 << 60], [-(1 << 60), 3 - (1 << 60), 2 - (1 << 60)]):
+        assert unit.extreme(y, largest=True) == (y.index(max(y)), max(y))
+        assert unit.extreme(y, largest=False) == (y.index(min(y)), min(y))
+    wide = _Matrix.of([[1 << 40, 1], [3, -(1 << 70)]], 2)
+    assert wide.ints.dtype == object and wide.bound == 0
+    assert wide.product(np.array([[2, -1]])).tolist() == [[(1 << 41) - 3, 2 + (1 << 70)]]
+    assert wide.extreme([2, -1], largest=False) == (0, (1 << 41) - 3)
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5), min_size=1, max_size=4),
+    st.data(),
+)
+def test_extreme_finds_the_first_extreme_entry(rows, data):
+    # few distinct values and huge multipliers: ties across every digit
+    M = _Matrix.of(rows, 5)
+    y = data.draw(st.lists(
+        st.sampled_from([0, 1, -1, 1 << 60, -(1 << 60), (1 << 60) + 1, 1 << 120, -(1 << 121)]),
+        min_size=len(rows), max_size=len(rows),
+    ))
+    values = [sum(a * row[j] for a, row in zip(y, rows)) for j in range(5)]
+    for largest, pick in ((True, max), (False, min)):
+        best = pick(values)
+        assert M.extreme(y, largest) == (values.index(best), best)
+
+
+def test_stats_count_the_work():
+    L = pair_matrix_from_beta(random_unit_margin_beta(6, random.Random(6)))
+    _, rows, rhs = tdr_system(L)
+    lp = ExactSimplex(rows, rhs)
+    stats = lp.stats
+    assert stats.phase_one_pivots > 0 and stats.phase_two_pivots == 0
+    assert 0 < stats.degenerate_pivots <= stats.phase_one_pivots
+    assert stats.d_bits >= lp._D.bit_length() and stats.phase_one_s > 0
+    twin = lp.copy()
+    twin.maximize([1] * lp.n)
+    assert twin.stats.phase_two_pivots > 0 and twin.stats.phase_two_s > 0
+    assert lp.stats.phase_two_pivots == 0 and lp.stats.phase_two_s == 0

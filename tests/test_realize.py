@@ -20,9 +20,11 @@ from taildep.instances import (
     random_graph_metric,
     random_subset_pmf,
     random_unit_margin_beta,
+    violate_triangle,
 )
 from taildep.rationals import rat
 from taildep.realize import (
+    DEFAULT_MAX_P,
     Status,
     decide_sdr,
     decide_tdr,
@@ -112,6 +114,11 @@ class TestDecideTdr:
         monkeypatch.setenv("TAILDEP_MAX_P", "3")
         with pytest.raises(SizeLimitError):
             decide_tdr(L)
+        monkeypatch.delenv("TAILDEP_MAX_P")
+        big = DEFAULT_MAX_P + 1
+        guard = f"p={big} exceeds the decider guard {DEFAULT_MAX_P}"
+        with pytest.raises(SizeLimitError, match=guard):
+            decide_tdr(TdMatrix.from_rows([[int(i == j) for j in range(big)] for i in range(big)]))
 
 
 class TestDecideSdr:
@@ -212,6 +219,76 @@ class TestCertificates:
         bad = replace(out, farkas=tuple(-y for y in out.farkas))
         with pytest.raises(CertificateRejected):
             verify_certificate(bad, L)
+
+    def test_each_rejection_names_its_discrepancy(self):
+        from dataclasses import replace
+
+        from taildep.coeffs import Kind, SubsetFn
+
+        L = TdMatrix.from_rows([[1, rat(1, 2)], [rat(1, 2), 1]])
+        out = decide_tdr(L)
+        vals = list(out.witness_beta.values)
+        vals[0] += rat(1, 9)
+        bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.BETA))
+        sums = r"^witness pair sum at \(1,1\) is 10/9, expected 1$"
+        with pytest.raises(CertificateRejected, match=sums):
+            verify_certificate(bad, L)
+        vals[0] = rat(-1, 9)
+        bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.RAW))
+        with pytest.raises(CertificateRejected, match="^missing or negative witness$"):
+            verify_certificate(bad, L)
+
+        T = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+        out = decide_tdr(T)
+        assert verify_certificate(out, T)
+        length = "^certificate length does not match row count$"
+        with pytest.raises(CertificateRejected, match=length):
+            verify_certificate(replace(out, farkas=out.farkas[1:]), T)
+        # y = the row of pair (2, 3): y'b = 0
+        unit = tuple(rat(int(pair == (1, 2))) for pair in out.row_pairs)
+        rhs = "^Farkas pairing with the right-hand side is not positive$"
+        with pytest.raises(CertificateRejected, match=rhs):
+            verify_certificate(replace(out, farkas=unit), T)
+        # y = the row of pair (1, 2): y'b = 1, and subset {1, 2} (mask 3) pairs to 1
+        unit = tuple(rat(int(pair == (0, 1))) for pair in out.row_pairs)
+        with pytest.raises(CertificateRejected, match="^Farkas pairing with column 3 is positive$"):
+            verify_certificate(replace(out, farkas=unit), T)
+
+        d = k23_metric()
+        out = decide_sdr(d)
+        assert verify_certificate(out, d)
+        # one pair's row: every cut separating that pair pairs to its weight
+        unit = tuple(rat(1, 3) if pair == (0, 3) else rat(0) for pair in out.row_pairs)
+        with pytest.raises(CertificateRejected, match="^Farkas pairing with column 1 is positive$"):
+            verify_certificate(replace(out, farkas=unit), d)
+
+    def test_farkas_check_matches_rational_sums(self, rng):
+        # the integer check against plain rational sums, on perturbed
+        # certificates and on huge multipliers (which leave int64)
+        from dataclasses import replace
+
+        from taildep.realize import tdr_system
+
+        seen = set()
+        for p in (3, 4, 5):
+            L = violate_triangle(pair_matrix_from_beta(random_unit_margin_beta(p, rng)), rng)
+            out = decide_tdr(L)
+            assert not out.feasible
+            cols, rows, rhs = tdr_system(L)
+            for trial in range(40):
+                y = [v * (1 << (90 * (trial % 2))) for v in out.farkas]
+                k = rng.randrange(len(y))
+                y[k] += rat(rng.randint(-2, 2), rng.choice([1, 3, 8]))
+                valid = sum(a * b for a, b in zip(y, rhs)) > 0 and all(
+                    sum(a * row[j] for a, row in zip(y, rows)) <= 0 for j in range(len(cols))
+                )
+                try:
+                    accepted = verify_certificate(replace(out, farkas=tuple(y)), L)
+                except CertificateRejected:
+                    accepted = False
+                assert accepted == valid
+                seen.add(valid)
+        assert seen == {True, False}
 
     def test_mismatched_instance_rejected(self, line_metric):
         out = decide_sdr(line_metric)
