@@ -45,16 +45,15 @@ rc = [c D | 0 | 0] + rc_art [A | I | b] (costs scaled to integers once), so
 only their artificial parts z_art, rc_art (and their right-hand-side
 entries) are kept and updated by the pivot formula.  Pricing is one exact
 vector-matrix product per pivot, z_art A or [rc_art, D] [A; c], whose
-first largest (smallest) entry enters.  A is stored once, as int64 and
-float64 while its column sums of absolute values stay below 2**32
-(``_Matrix``): a product splits its integer vector into base-2**s digits
-small enough that every partial sum is an integer below 2**53, so the
-float64 products are exact, and the entering column is found from the
-digit products without building Python ints.  An object array of Python
-ints carries A otherwise.  R itself is an int64 array whenever its entries
-fit and the pivot that made it could be computed exactly in int64
-(directly, or from float64 estimates of its quotients corrected by their
-remainders, ``_bareiss``), and an object array of Python ints otherwise.
+first largest (smallest) entry enters.  A is stored once (``_Matrix``).
+The integer arithmetic runs in int64 when a bound shows it fits (for a
+product, max|y| times the largest column sum of |A| below 2**63), as in
+``coeffs._store``, and in object arrays of Python ints otherwise, with two
+exceptions that keep the bulk of the work in int64 once the multipliers
+or R outgrow it: a product splits its vector into base-2**s digits whose
+products with A are exact in int64, and a pivot update whose products
+leave int64 while its quotients stay well inside it is computed from
+float64 estimates of the quotients, corrected in int64 (``_bareiss``).
 Ratio and lexicographic tests compare entries of N by cross-multiplication,
 so no gcd is ever taken inside the loops; rationals are built only for the
 witness, the Farkas vector, the dual multipliers and the optimum value.
@@ -125,8 +124,6 @@ class SimplexStats:
     phase_two_s: float = 0.0
 
 
-_SUM_LIMIT = 1 << 32  # a matrix is int64 while every column abs-sum stays below
-_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 _INT64_MAX = (1 << 63) - 1
 _BLOCK = 128  # columns of R A built at a time by the lexicographic test
 
@@ -139,27 +136,23 @@ def _exact(value):
 class _Matrix:
     """An integer matrix M, read by column and multiplied exactly: Y M.
 
-    While every column abs-sum of M stays below 2**32 (``bound``), M is held
-    as int64 and as float64.  A product splits Y into base-2**s digits,
-    each carrying its entry's sign, with 2**s * bound <= 2**53: every
-    partial sum of a digit's product with M is then an integer below 2**53,
-    exact in float64 whatever order the BLAS adds in.  Otherwise M is held
-    as Python ints (bound 0), and so are its products.
+    M is held as int64 with ``bound``, its largest column sum of absolute
+    values, when that sum is sure to fit; a product Y M is then int64
+    whenever max|Y| * bound < 2**63.  Otherwise M (``bound`` None) is held
+    as Python ints, and so are its products.
     """
 
     def __init__(self, ints: np.ndarray) -> None:
-        bound = 0
-        if ints.dtype != object and ints.size:
-            # entries below 2**32 keep the int64 column sums exact
-            top = max(int(ints.max()), -int(ints.min()))
-            bound = int(np.abs(ints).sum(axis=0).max()) if top < _SUM_LIMIT else _SUM_LIMIT
-            if bound >= _SUM_LIMIT:
-                ints, bound = ints.astype(object), 0
+        bound = None
+        if ints.dtype != object:
+            top = max(int(ints.max()), -int(ints.min())) if ints.size else 0
+            if top * len(ints) <= _INT64_MAX:  # no column sum can leave int64
+                bound = int(np.abs(ints).sum(axis=0).max()) if ints.size else 0
+            else:
+                ints = ints.astype(object)
         ints.flags.writeable = False
         self.ints = ints
         self.bound = bound
-        self.floats = ints.astype(np.float64) if bound else None
-        self.shift = ((_FLOAT_EXACT - 1) // bound).bit_length() - 1 if bound else 0
 
     @classmethod
     def of(cls, rows: list[list[int]], n: int) -> "_Matrix":
@@ -171,60 +164,40 @@ class _Matrix:
 
     def stacked(self, row: list[int]) -> "_Matrix":
         """[M; row]."""
-        extra = _Matrix.of([row], len(row))
-        if self.bound and extra.ints.dtype != object and self.bound + extra.bound < _SUM_LIMIT:
-            return _Matrix(np.vstack([self.ints, extra.ints]))
-        return _Matrix(np.vstack([self.ints.astype(object), extra.ints.astype(object)]))
-
-    def parts(self, Y: np.ndarray, cols: slice = slice(None)) -> tuple[np.ndarray, int]:
-        """(P, s) with Y M[:, cols] = sum over l of P[l] * 2**(s*l), exactly,
-        for an integer Y (int64 or Python ints): int64 products of the
-        digits of Y, or (bound 0) one product in Python ints, with s = 0."""
-        if not self.bound:
-            return (Y.astype(object) @ self.ints[:, cols])[None], 0
-        s = self.shift
-        top = int(np.abs(Y).max()) if Y.size else 0
-        if top < 1 << s:
-            digits = Y.astype(np.float64)[None]
-        else:
-            negative, magnitude, mask = Y < 0, np.abs(Y), (1 << s) - 1
-            digits = np.stack([
-                np.where(negative, -d, d)
-                for d in ((magnitude >> shift) & mask for shift in range(0, top.bit_length(), s))
-            ]).astype(np.float64)
-        return (digits @ self.floats[:, cols]).astype(np.int64), s
+        extra = _Matrix.of([row], len(row)).ints
+        if self.ints.dtype == extra.dtype == np.int64:
+            return _Matrix(np.vstack([self.ints, extra]))
+        return _Matrix(np.vstack([self.ints.astype(object), extra.astype(object)]))
 
     def product(self, Y: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-        """Exact Y M[:, cols], as an int64 or object array."""
-        parts, s = self.parts(Y, cols)
-        out = parts[-1]
-        for part in parts[-2::-1]:
-            out = (out.astype(object) << s) + part
+        """Exact Y M[:, cols] for an integer Y (int64 or Python ints).
+
+        With an int64 M and max|Y| * bound past int64, Y is split into
+        base-2**s digits, each carrying its entry's sign, with
+        2**s * bound < 2**63: every digit's product with M is exact in
+        int64, and only their sum is built in Python ints.
+        """
+        M = self.ints[:, cols]
+        if self.bound is None:
+            return Y.astype(object) @ M
+        top = int(np.abs(Y).max(initial=0))
+        if top * self.bound <= _INT64_MAX:
+            return Y.astype(np.int64) @ M
+        s = (_INT64_MAX // self.bound).bit_length() - 1
+        Y = Y.astype(object)
+        magnitude, mask = np.abs(Y), (1 << s) - 1
+        out = 0
+        for shift in reversed(range(0, top.bit_length(), s)):
+            digit = np.where(Y < 0, -((magnitude >> shift) & mask), (magnitude >> shift) & mask)
+            out = (out << s) + (digit.astype(np.int64) @ M).astype(object)
         return out
 
     def extreme(self, y: list[int], largest: bool) -> tuple[int, int]:
         """(j, v): the first column j where v = (y M)_j is largest (or
-        smallest), found without building Python ints.
-
-        The parts are carried into H * 2**(s*(L-1)) + sum of r_l * 2**(s*l)
-        with 0 <= r_l < 2**s, which orders like (H, r_(L-2), ..., r_0)."""
-        parts, s = self.parts(_narrow(np.array([y], dtype=object)))
-        parts = parts[:, 0]
-        if len(parts) == 1:
-            j = int(np.argmax(parts[0]) if largest else np.argmin(parts[0]))
-            return j, int(parts[0][j])
-        keys, carry = [], 0
-        for part in parts[:-1]:
-            total = part + carry
-            keys.append(total & ((1 << s) - 1))
-            carry = total >> s
-        keys.append(parts[-1] + carry)
-        pick = np.ones(parts.shape[1], dtype=bool)
-        for key in reversed(keys):
-            chosen = key[pick]
-            pick &= key == (chosen.max() if largest else chosen.min())
-        j = int(np.argmax(pick))
-        return j, sum(int(part[j]) << (s * l) for l, part in enumerate(parts))
+        smallest)."""
+        values = self.product(_narrow(np.array([y], dtype=object)))[0]
+        j = int(np.argmax(values) if largest else np.argmin(values))
+        return j, int(values[j])
 
 
 def _bareiss(
@@ -232,16 +205,17 @@ def _bareiss(
 ) -> np.ndarray:
     """(R * piv - column (x) prow) // D, where every division is exact.
 
-    An int64 R stays int64 while that is exact.  With top = max|R| *
-    max|column|, which bounds |a * piv| and |f * c|: directly if 2 * top
-    and D fit in int64.  Otherwise, if the quotients are below 2**61, from their
-    float64 estimates q, each within 2**-49 * top / D + 1/2 of the quotient
-    (nine roundings of relative size 2**-53 at most), corrected by the
-    remainder R * piv - column (x) prow - q * D: int64 arithmetic gets it
-    modulo 2**64, and it is exactly (quotient - q) * D, below 2**62 in
-    magnitude.  Else in Python ints, as for an object R.
+    An int64 R and column (so |piv| < 2**63) stay int64 while that is
+    exact.  With top = max|R| * max|column|, which bounds |a * piv| and
+    |f * c|: directly if 2 * top and D fit in int64.  Otherwise, if the
+    quotients are below 2**61, from their float64 estimates q, each within
+    2**-49 * top / D + 1/2 of the quotient (nine roundings of relative size
+    2**-53 at most), corrected by the remainder
+    R * piv - column (x) prow - q * D: int64 arithmetic gets it modulo
+    2**64, and it is exactly (quotient - q) * D, below 2**62 in magnitude.
+    Else in Python ints.
     """
-    if R.dtype != object:
+    if R.dtype != object and column.dtype != object:
         top = int(np.abs(R).max()) * int(np.abs(column).max())
         if 2 * top <= _INT64_MAX and D <= _INT64_MAX:
             return (R * piv - np.multiply.outer(column, prow)) // D
@@ -254,7 +228,7 @@ def _bareiss(
             if (remainder % D).any():
                 raise InternalError("inexact Bareiss quotient")
             return estimate + remainder // D
-        R, column, prow = R.astype(object), column.astype(object), prow.astype(object)
+    R, column, prow = R.astype(object), column.astype(object), prow.astype(object)
     return (R * piv - np.multiply.outer(column, prow)) // D
 
 
@@ -361,7 +335,7 @@ class ExactSimplex:
         hits = np.flatnonzero(A[:, col])
         values = A[hits, col]
         R = self._R[:, hits]
-        if (R.dtype == values.dtype == np.int64
+        if (R.dtype == values.dtype == np.int64 and self._A.bound is not None
                 and int(np.abs(R).max(initial=0)) * self._A.bound <= _INT64_MAX):
             return R @ values
         return _narrow(R.astype(object) @ values.astype(object))

@@ -326,6 +326,8 @@ def verify_certificate(
             beta = outcome.witness_beta
             if beta is None:
                 raise CertificateRejected("missing or negative witness")
+            if beta.p != L.p:
+                raise CertificateRejected("dimension mismatch")
             nums, den = to_common_numerators(beta.values)  # beta = nums / den
             weights = _store(nums)  # int64 when sum(|nums|) fits: exact sums
             if weights.min() < 0:

@@ -15,7 +15,7 @@ from taildep.instances import (
     random_unit_margin_beta,
     violate_triangle,
 )
-from taildep.lp import ExactSimplex, _Matrix, solve_feasibility
+from taildep.lp import ExactSimplex, _Matrix, _bareiss, solve_feasibility
 from taildep.rationals import ZERO, rat
 from taildep.realize import cut_system, tdr_system
 
@@ -445,8 +445,8 @@ def test_small_system_pivots_match_dense_tableau(system):
 
 @pytest.mark.parametrize("bits", [4, 12, 16, 20, 24, 28, 40])
 def test_wide_entries_match_dense_tableau(monkeypatch, bits):
-    # 28-bit entries keep A in int64 but push the multipliers past it (the
-    # digit products); 40-bit entries store A as Python ints
+    # wider entries push the multipliers, then R, past int64; 40-bit
+    # entries store A as Python ints
     rng = random.Random(bits)
     for _ in range(12):
         m, n = rng.randint(2, 5), rng.randint(3, 8)
@@ -458,43 +458,81 @@ def test_wide_entries_match_dense_tableau(monkeypatch, bits):
 
 
 @pytest.mark.parametrize(
-    "rows, rhs",
+    "rows, rhs, costs",
     [
-        ([[0, 0], [0, 0]], [0, 1 << 80]),  # zero matrix, huge right-hand side
-        ([[1, 1], [1, -1]], [1 << 80, 1 << 79]),  # R b leaves int64 at once
-        ([[1, 0], [0, 1], [1, 1]], [1 << 62, 1 << 62, (1 << 62) + 1]),  # their sum leaves it
-        ([[1, 2], [1, 1]], [-(1 << 63), 1]),  # |-2**63| leaves int64
-        ([[1 << 40, 1], [3, 1 << 62]], [1 << 41, 1 << 62]),  # A stored as Python ints
-        ([[(1 << 31) - 1, 1], [1, -((1 << 31) - 1)]], [1 << 31, 7]),  # R at the int64 edge
+        ([[0, 0], [0, 0]], [0, 1 << 80], [1, 2]),  # zero matrix, huge right-hand side
+        ([[1, 1], [1, -1]], [1 << 80, 1 << 79], [1, 2]),  # R b leaves int64 at once
+        ([[1, 0], [0, 1], [1, 1]], [1 << 62, 1 << 62, (1 << 62) + 1], [1, 2]),  # their sum leaves it
+        ([[1, 2], [1, 1]], [-(1 << 63), 1], [1, 2]),  # |-2**63| leaves int64
+        ([[1 << 40, 1], [3, 1 << 62]], [1 << 41, 1 << 62], [1, 2]),  # A stored as Python ints
+        ([[(1 << 31) - 1, 1], [1, -((1 << 31) - 1)]], [1 << 31, 7], [1, 2]),  # R at the int64 edge
+        # small R, D = 2**40 and an entering column of +-2**70 in phase two
+        ([[1 << 20, 0, 1 << 50], [0, 1 << 20, -(1 << 50)]], [1, 1], [0, 0, -1]),
     ],
 )
-def test_extreme_magnitudes_match_dense_tableau(monkeypatch, rows, rhs):
-    _assert_same_run(monkeypatch, rows, rhs, [("minimize", [1, 2]), ("maximize", [1, 2])])
+def test_extreme_magnitudes_match_dense_tableau(monkeypatch, rows, rhs, costs):
+    _assert_same_run(monkeypatch, rows, rhs, [("minimize", costs), ("maximize", costs)])
 
 
 def test_matrix_products_are_exact_past_int64():
     rng = random.Random(7)
     rows = [[rng.randint(-(1 << 20), 1 << 20) for _ in range(9)] for _ in range(6)]
     M = _Matrix.of(rows, 9)
-    assert M.ints.dtype == np.int64 and 0 < M.bound < 1 << 32
-    for bits in (10, 30, 62, 64, 200):
+    assert M.ints.dtype == np.int64
+    assert M.bound == max(sum(abs(row[j]) for row in rows) for j in range(9))
+    for bits in (10, 30, 40, 62, 64, 200):
         Y = [[rng.randint(-(1 << bits), 1 << bits) for _ in range(6)] for _ in range(3)]
         exact = [[sum(y[k] * rows[k][j] for k in range(6)) for j in range(9)] for y in Y]
-        assert M.product(np.array(Y, dtype=object)).tolist() == exact
-        assert M.product(np.array(Y, dtype=object), slice(2, 5)).tolist() == [e[2:5] for e in exact]
+        for narrow in (True, False):
+            Yarr = np.array(Y, dtype=object)
+            if narrow and bits < 63:
+                Yarr = Yarr.astype(np.int64)
+            assert M.product(Yarr).tolist() == exact
+            assert M.product(Yarr, slice(2, 5)).tolist() == [e[2:5] for e in exact]
         for y, values in zip(Y, exact):
             for largest, pick in ((True, max), (False, min)):
                 best = pick(values)
                 assert M.extreme(y, largest) == (values.index(best), best)
-    # values one apart in the lowest digit, and equal up to their last digit
+    # values one apart, past int64
     unit = _Matrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
-    for y in ([(1 << 60) + 1, 1 << 60, 1 << 60], [-(1 << 60), 3 - (1 << 60), 2 - (1 << 60)]):
+    for y in ([(1 << 70) + 1, 1 << 70, 1 << 70], [-(1 << 70), 3 - (1 << 70), 2 - (1 << 70)]):
         assert unit.extreme(y, largest=True) == (y.index(max(y)), max(y))
         assert unit.extreme(y, largest=False) == (y.index(min(y)), min(y))
     wide = _Matrix.of([[1 << 40, 1], [3, -(1 << 70)]], 2)
-    assert wide.ints.dtype == object and wide.bound == 0
+    assert wide.ints.dtype == object and wide.bound is None
     assert wide.product(np.array([[2, -1]])).tolist() == [[(1 << 41) - 3, 2 + (1 << 70)]]
     assert wide.extreme([2, -1], largest=False) == (0, (1 << 41) - 3)
+    # entries in int64 whose column sums might not be
+    edge = _Matrix.of([[1 << 62, 1], [1 << 62, 1]], 2)
+    assert edge.bound is None
+    assert edge.product(np.array([[1, 1]])).tolist() == [[1 << 63, 2]]
+    stacked = M.stacked([1 << 70] * 9)
+    assert stacked.bound is None and stacked.ints.shape == (7, 9)
+
+
+def _exact_bareiss(R, column, r, piv, D):
+    prow = R[r]
+    return [[(a * piv - f * c) // D for a, c in zip(row, prow)] for row, f in zip(R, column)]
+
+
+def test_bareiss_updates_are_exact_in_every_tier():
+    rng = random.Random(11)
+    for trial in range(40):
+        # R = D U is int64 and divisible by D; the products reach 2**100
+        # while the quotients stay near 2**52: the float64 estimates
+        D = (1 << 50) + rng.randrange(1 << 20)
+        U = [[rng.randint(-(1 << 11), 1 << 11) for _ in range(4)] for _ in range(4)]
+        R = [[D * u for u in row] for row in U]
+        column = [rng.randint(-(1 << 40), 1 << 40) for _ in range(4)]
+        piv = column[0]
+        out = _bareiss(np.array(R), np.array(column), np.array(R[0]), piv, D)
+        assert out.dtype == np.int64
+        assert out.tolist() == _exact_bareiss(R, column, 0, piv, D)
+    # max|R| * max|column| just past 2**62: a * piv - f * c leaves int64
+    big = (1 << 31) + 1
+    R = [[big, 1], [-big, 1]]
+    out = _bareiss(np.array(R), np.array([big, big]), np.array(R[0]), big, 1)
+    assert out.tolist() == _exact_bareiss(R, [big, big], 0, big, 1)
 
 
 @given(
@@ -502,7 +540,7 @@ def test_matrix_products_are_exact_past_int64():
     st.data(),
 )
 def test_extreme_finds_the_first_extreme_entry(rows, data):
-    # few distinct values and huge multipliers: ties across every digit
+    # few distinct values, in int64 and past it: ties
     M = _Matrix.of(rows, 5)
     y = data.draw(st.lists(
         st.sampled_from([0, 1, -1, 1 << 60, -(1 << 60), (1 << 60) + 1, 1 << 120, -(1 << 121)]),

@@ -237,6 +237,10 @@ class TestCertificates:
         bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.RAW))
         with pytest.raises(CertificateRejected, match="^missing or negative witness$"):
             verify_certificate(bad, L)
+        # a witness over another number of components
+        bad = replace(out, witness_beta=SubsetFn(3, tuple(rat(1, 7) for _ in range(7)), Kind.BETA))
+        with pytest.raises(CertificateRejected, match="^dimension mismatch$"):
+            verify_certificate(bad, L)
 
         T = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
         out = decide_tdr(T)
