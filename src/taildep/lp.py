@@ -188,8 +188,9 @@ class _Matrix:
         magnitude, mask = np.abs(Y), (1 << s) - 1
         out = 0
         for shift in reversed(range(0, top.bit_length(), s)):
-            digit = np.where(Y < 0, -((magnitude >> shift) & mask), (magnitude >> shift) & mask)
-            out = (out << s) + (digit.astype(np.int64) @ M).astype(object)
+            digit = (magnitude >> shift) & mask
+            digit = np.where(Y < 0, -digit, digit).astype(np.int64)
+            out = (out << s) + (digit @ M).astype(object)
         return out
 
     def extreme(self, y: list[int], largest: bool) -> tuple[int, int]:

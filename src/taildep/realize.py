@@ -45,7 +45,7 @@ from .spectral import (
 from .subsets import full_mask
 from .tm import TmModel, synthesize
 
-DEFAULT_MAX_P = 13  # p = 13 answers took 2.7-44 s (BENCH_6.json)
+DEFAULT_MAX_P = 12  # p = 13 SDR answers took 3.3-76 s, median 37 s (BENCH_6.json)
 
 
 def _guard(p: int, max_p: int | None) -> None:
