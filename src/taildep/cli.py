@@ -52,6 +52,7 @@ from .spectral import (
 )
 from .subsets import labels_of, set_str
 from .simulate import (
+    _CHUNK_ROWS,
     SimConfig,
     estimation_report,
     exceedance_set_histogram,
@@ -227,6 +228,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         block_size=args.block_size,
     )
+    if config.block_size < _CHUNK_ROWS:
+        print(f"warning: --block-size {config.block_size} is below {_CHUNK_ROWS}; "
+              "per-block set-up will dominate the run time", file=sys.stderr)
     xs = sample_config(config)
     if args.samples_out:
         tio.write_samples_binary(args.samples_out, xs)
@@ -376,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--targets", help="JSON with lambda/theta target sets")
     sim.add_argument("--out", help="report JSON path (default: stdout)")
     sim.add_argument("--samples-out", help="binary sample stream path")
-    sim.add_argument("--block-size", type=int, default=1 << 16)
+    sim.add_argument("--block-size", type=int, default=1 << 16,
+                     help=f"rows per random block; below {_CHUNK_ROWS}, set-up "
+                     "dominates and a warning goes to stderr")
     sim.add_argument("--precision", type=int, default=6, help="significant digits")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -271,12 +271,6 @@ class SubsetFn:
     def negative_masks(self) -> tuple[int, ...]:
         return tuple((np.flatnonzero(self._numerators()[0] < 0) + 1).tolist())
 
-    def as_float_array(self) -> np.ndarray:
-        """Floating view for simulation consumers; exactness ends here."""
-        return np.fromiter(
-            (float(v) for v in self.values), dtype=float, count=len(self.values)
-        )
-
     def with_kind(self, kind: Kind) -> "SubsetFn":
         fn = object.__new__(SubsetFn)
         _init(fn, self.p, kind, self._values, self._nums, self._den)

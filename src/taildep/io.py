@@ -20,11 +20,32 @@ from .coeffs import Kind, SubsetFn, TdMatrix
 from .errors import MalformedInput
 from .rationals import Rat, rat, rat_str
 from .spectral import CutDecomposition, SemiMetric
-from .subsets import labels_of, mask_from_labels
+from .subsets import labels_of, mask_of
 from .tm import TmModel
 
 SAMPLES_MAGIC = b"TDSIM1"
 _SAMPLES_HEADER = struct.Struct("<6sHQ")  # magic, p, n  (16 bytes)
+
+# Loaders check the shape of every JSON container they read, so a file of the
+# wrong shape raises MalformedInput, not a TypeError from deep inside.
+_SHAPES = {"object": Mapping, "array": (list, tuple), "integer": int}
+
+
+def _shaped(value: Any, shape: str, what: str) -> Any:
+    """Return ``value`` if it is a JSON ``shape``; raise MalformedInput if not."""
+    if isinstance(value, bool) or not isinstance(value, _SHAPES[shape]):
+        raise MalformedInput(f"{what} must be a JSON {shape}, got {value!r:.40}")
+    return value
+
+
+def _get(data: Any, key: str, shape: str, default: Any = None) -> Any:
+    """``data[key]`` (``default`` if absent), checked to be a JSON ``shape``."""
+    return _shaped(_shaped(data, "object", "input").get(key, default), shape, f'"{key}"')
+
+
+def _mask(labels: Any) -> int:
+    labels = _shaped(labels, "array", "subset")
+    return mask_of(*(_shaped(k, "integer", "subset label") for k in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +64,7 @@ def _entries_to_json(entries: Sequence[tuple[int, Rat]]) -> list[dict]:
 def _entries_from_json(items: Sequence[Mapping[str, Any]], p: int) -> dict[int, Rat]:
     out: dict[int, Rat] = {}
     for item in items:
-        mask = mask_from_labels(item["set"])
+        mask = _mask(_get(item, "set", "array"))
         if mask >= (1 << p):
             raise MalformedInput(f"subset {item['set']} out of range for p={p}")
         out[mask] = rat(str(item["value"]))
@@ -59,9 +80,9 @@ def subsetfn_to_json(fn: SubsetFn) -> dict:
 
 
 def subsetfn_from_json(data: Mapping[str, Any]) -> SubsetFn:
-    p = int(data["p"])
+    p = _get(data, "p", "integer")
     kind = Kind(data["kind"])
-    entries = _entries_from_json(data.get("entries", []), p)
+    entries = _entries_from_json(_get(data, "entries", "array", []), p)
     return SubsetFn.from_entries(p, entries, kind, allow_large=True)
 
 
@@ -70,11 +91,12 @@ def tm_model_to_json(model: TmModel) -> dict:
 
 
 def tm_model_from_json(data: Mapping[str, Any]) -> TmModel:
+    data = _shaped(data, "object", "model")
     if "beta" not in data and isinstance(data.get("model"), Mapping):
         data = data["model"]  # accept wrapped payloads (e.g. linemetric output)
-    p = int(data["p"])
+    p = _get(data, "p", "integer")
     return TmModel.from_entries(
-        p, _entries_from_json(data.get("beta", []), p), allow_large=True
+        p, _entries_from_json(_get(data, "beta", "array", []), p), allow_large=True
     )
 
 
@@ -87,8 +109,8 @@ def cuts_to_json(cuts: CutDecomposition) -> dict:
 
 
 def cuts_from_json(data: Mapping[str, Any]) -> CutDecomposition:
-    p = int(data["p"])
-    entries = _entries_from_json(data.get("cuts", []), p)
+    p = _get(data, "p", "integer")
+    entries = _entries_from_json(_get(data, "cuts", "array", []), p)
     return CutDecomposition(
         p, tuple(sorted(entries.items())), rat(str(data.get("slack_full", "0/1")))
     )
@@ -100,7 +122,7 @@ def cuts_from_json(data: Mapping[str, Any]) -> CutDecomposition:
 
 
 def _matrix_rows_from_json(raw: Sequence[Sequence[Any]]) -> list[list[Rat]]:
-    return [[rat(str(v)) for v in row] for row in raw]
+    return [[rat(str(v)) for v in _shaped(row, "array", "matrix row")] for row in raw]
 
 
 def td_matrix_to_json(L: TdMatrix) -> dict:
@@ -108,7 +130,7 @@ def td_matrix_to_json(L: TdMatrix) -> dict:
 
 
 def td_matrix_from_json(data: Mapping[str, Any]) -> TdMatrix:
-    return TdMatrix.from_rows(_matrix_rows_from_json(data["lam"]))
+    return TdMatrix.from_rows(_matrix_rows_from_json(_get(data, "lam", "array")))
 
 
 def semimetric_to_json(d: SemiMetric) -> dict:
@@ -116,7 +138,7 @@ def semimetric_to_json(d: SemiMetric) -> dict:
 
 
 def semimetric_from_json(data: Mapping[str, Any]) -> SemiMetric:
-    return SemiMetric.from_rows(_matrix_rows_from_json(data["d"]))
+    return SemiMetric.from_rows(_matrix_rows_from_json(_get(data, "d", "array")))
 
 
 def matrix_rows_to_csv(rows: Sequence[Sequence[Rat]]) -> str:
@@ -208,10 +230,11 @@ def targets_from_json(data: Mapping[str, Any], p: int) -> tuple[list[int], list[
     def parse(items: Sequence[Sequence[int]]) -> list[int]:
         masks = []
         for labels in items:
-            mask = mask_from_labels(labels)
+            mask = _mask(labels)
             if mask >= (1 << p):
                 raise MalformedInput(f"target set {labels} out of range for p={p}")
             masks.append(mask)
         return masks
 
-    return parse(data.get("lambda", [])), parse(data.get("theta", []))
+    lam, theta = (_get(data, key, "array", []) for key in ("lambda", "theta"))
+    return parse(lam), parse(theta)

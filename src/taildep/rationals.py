@@ -1,12 +1,10 @@
-"""Exact rational arithmetic backend.
+"""Exact rational numbers.
 
-Everything user-facing in this package that claims exactness is carried by
-the rational type `Rat` defined here.  We prefer ``gmpy2.mpq`` (C-backed,
-roughly 5x faster than ``fractions.Fraction`` on the subset-lattice
-transforms) and fall back to the stdlib ``Fraction`` when gmpy2 is not
-installed.  Both types interoperate with each other and with ints, so
-callers may pass either.  The simplex in ``lp`` pivots on plain integers
-and builds `Rat` values only for its answers.
+Everything user-facing in this package that claims exactness is a `Rat`,
+which is the stdlib ``fractions.Fraction``.  The hot loops (the lattice
+transforms, the simplex in ``lp``, the subset-sum tables in ``tm``) run on
+plain integers over a common denominator; the helpers here convert
+between those integers and `Rat` values at the API boundary.
 """
 
 from __future__ import annotations
@@ -14,33 +12,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-try:
-    from gmpy2 import mpq as _mpq
+Rat = Fraction
 
-    Rat = _mpq
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Rat = Fraction
-    _HAVE_GMPY2 = False
-
-RatLike = Union[int, str, Fraction, "Rat"]
+RatLike = Union[int, str, Fraction]
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 
 def rat(value: RatLike, den: int | None = None) -> Rat:
-    """Coerce ``value`` (int, Fraction, mpq, or string) to a `Rat`.
+    """Coerce ``value`` (int, Fraction, or string) to a `Rat`.
 
     Strings accept both "num/den" and decimal forms ("3/2", "0.25", "7");
-    decimal strings are parsed exactly in base 10.
+    decimal strings are parsed exactly in base 10.  A string with a zero
+    denominator raises ``ValueError``, like any other malformed string.
     """
     if den is not None:
         return Rat(value, den)
     if isinstance(value, str):
-        return Rat(Fraction(value.strip()))
+        try:
+            return Rat(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {value!r}") from None
     if isinstance(value, float):
         raise TypeError(
             "refusing to coerce float to exact rational; pass a string, "
@@ -53,15 +47,6 @@ def rat_str(q: RatLike) -> str:
     """Serialize exactly as "num/den" (always with an explicit denominator)."""
     q = rat(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def as_fraction(q: RatLike) -> Fraction:
-    q = rat(q)
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def common_denominator(values: Iterable[RatLike]) -> int:
-    return reduce(math.lcm, (int(rat(v).denominator) for v in values), 1)
 
 
 def to_common_numerators(values: Sequence[RatLike]) -> tuple[list, int]:
@@ -78,34 +63,25 @@ def to_common_numerators(values: Sequence[RatLike]) -> tuple[list, int]:
     # Fraction cost about twice as much)
     pairs = [v.as_integer_ratio() for v in values]
     dens = {d for _, d in pairs}
-    den = reduce(math.lcm, (int(d) for d in dens), 1)
-    scale = {d: den // int(d) for d in dens}
-    if _HAVE_GMPY2:
-        # plain Python ints: numpy object arrays build ~50x faster from them
-        # than from gmpy2 integers, and the butterflies add them just as fast
-        return [int(n) * scale[d] for n, d in pairs], den
+    den = reduce(math.lcm, dens, 1)
+    scale = {d: den // d for d in dens}
     return [n * scale[d] for n, d in pairs], den
 
 
-if _HAVE_GMPY2:
+_new_object = object.__new__
 
-    def _reduced(num: int, den: int) -> Rat:
-        return Rat(num, den)
 
-else:
-    _new_object = object.__new__
+def _reduced(num: int, den: int) -> Rat:
+    """Build num/den from coprime ints with den > 0, skipping normalization.
 
-    def _reduced(num: int, den: int) -> Rat:
-        """Build num/den from coprime ints with den > 0, skipping normalization.
-
-        ``Fraction(num, den)`` re-checks its argument types and takes the gcd
-        again in Python, about 3x the cost of filling the two slots directly
-        (Python 3.12 ships the same shortcut as ``Fraction._from_coprime_ints``).
-        """
-        q = _new_object(Fraction)
-        q._numerator = num
-        q._denominator = den
-        return q
+    ``Fraction(num, den)`` re-checks its argument types and takes the gcd
+    again in Python, about 3x the cost of filling the two slots directly
+    (Python 3.12 ships the same shortcut as ``Fraction._from_coprime_ints``).
+    """
+    q = _new_object(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
 
 
 def from_common_numerators(nums: Sequence, den: int) -> list:

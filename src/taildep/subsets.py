@@ -7,8 +7,6 @@ stored coefficient arrays but appears transiently in lattice transforms.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 def mask_of(*labels: int) -> int:
     """Mask of a subset given 1-based component labels: mask_of(1, 3) == 0b101."""
@@ -18,10 +16,6 @@ def mask_of(*labels: int) -> int:
             raise ValueError(f"component labels are 1-based, got {k}")
         m |= 1 << (k - 1)
     return m
-
-
-def mask_from_labels(labels: Iterable[int]) -> int:
-    return mask_of(*labels)
 
 
 def labels_of(mask: int) -> tuple[int, ...]:

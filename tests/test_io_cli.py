@@ -205,6 +205,7 @@ class TestCliExitCodes:
         assert len(payload["targets"]) == 14
         xs = tio.read_samples_binary(bin_out)
         assert xs.shape == (20000, 3)
+        assert capsys.readouterr().err == ""
 
     def test_report_table(self, workdir, capsys):
         code = main(["report", "--model", str(workdir / "model.json")])
@@ -219,6 +220,48 @@ class TestCliExitCodes:
         (workdir / "asym.csv").write_text("0,1\n2,0\n")
         assert main(["realize", "sdr", "--in", str(workdir / "asym.csv")]) == 2
         assert main(["realize", "td", "--in", str(workdir / "missing.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (["report", "--model"], "m.json",
+             '{"p":3,"beta":[{"set":["1"],"value":"1"}]}'),
+            (["report", "--model"], "m.json", '{"p":3,"beta":5}'),
+            (["report", "--model"], "m.json", "[1,2]"),
+            (["report", "--model"], "m.json",
+             '{"p":3,"beta":[{"set":[1],"value":"1/0"}]}'),
+            (["realize", "td", "--in"], "l.json", '{"p":2,"lam":5}'),
+            (["realize", "sdr", "--scale", "1/0", "--in"], "d.csv", "0,1\n1,0\n"),
+        ],
+        ids=["string-label", "beta-not-array", "top-level-array",
+             "zero-denominator", "lam-not-array", "zero-denominator-scale"],
+    )
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, argv, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_simulate_small_blocks_warn_on_stderr_only(
+        self, workdir, capsys, monkeypatch
+    ):
+        def run(tag):
+            bin_out = workdir / f"{tag}.bin"
+            code = main(
+                ["simulate", "--model", str(workdir / "model.json"), "--n", "2000",
+                 "--u", "50", "--seed", "3", "--block-size", "1",
+                 "--samples-out", str(bin_out)]
+            )
+            out, err = capsys.readouterr()
+            return code, out, bin_out.read_bytes(), err
+
+        warned = run("warned")
+        monkeypatch.setattr("taildep.cli._CHUNK_ROWS", 1)
+        quiet = run("quiet")
+        assert warned[:3] == quiet[:3] and warned[0] == 0
+        assert quiet[3] == ""
+        assert warned[3].startswith("warning: --block-size 1 is below 4096")
+        assert warned[3].count("\n") == 1
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
