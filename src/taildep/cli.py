@@ -40,7 +40,7 @@ from .coeffs import (
 )
 from .errors import CertificateRejected, InternalError, TaildepError, UnboundedObjective
 from .rationals import rat, rat_str
-from .realize import Status, decide_sdr, decide_tdr, verify_certificate
+from .realize import DEFAULT_MAX_P, Status, decide_sdr, decide_tdr, verify_certificate
 from .spectral import (
     NotLine,
     NotRealizableAtTheseMarginals,
@@ -60,7 +60,7 @@ from .simulate import (
     tv_distance,
 )
 from .coeffs import td_matrix
-from .tm import RealizabilityFailure, exceedance_set_dist, synthesize
+from .tm import RealizabilityFailure, TmModel, exceedance_set_dist, synthesize
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -282,13 +282,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    model = tio.tm_model_from_json(tio.read_json(args.model))
-    if model.p > 6:
-        print(
-            f"error: report enumerates all 2**p - 1 subsets; p={model.p} > 6",
-            file=sys.stderr,
-        )
+    p, entries = tio._model_entries(tio.read_json(args.model))
+    if p > 6:  # refused before any 2**p array is built
+        print(f"error: report enumerates all 2**p - 1 subsets; p={p} > 6", file=sys.stderr)
         return EXIT_MALFORMED
+    model = TmModel.from_entries(p, entries)
     lam = model.lambdas()
     th = model.thetas()
     dist = exceedance_set_dist(model) if not model.is_degenerate else None
@@ -323,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tail-dependence calculus: coefficient algebra, "
         "max-stable model synthesis, spectral-distance geometry, "
         "realizability deciders, and Monte-Carlo checks.",
-        epilog="Set TAILDEP_MAX_P to override the dimension guards.",
+        epilog=f"Set TAILDEP_MAX_P to override the realize deciders' dimension guard "
+        f"(default p <= {DEFAULT_MAX_P}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

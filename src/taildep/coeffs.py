@@ -25,7 +25,6 @@ to realizability questions.
 
 from __future__ import annotations
 
-import os
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -44,30 +43,14 @@ from .rationals import (
 from .subsets import set_str
 
 HARD_MAX_P = 26
-DEFAULT_SOFT_MAX_P = 16
 
 
-def soft_max_p(default: int = DEFAULT_SOFT_MAX_P) -> int:
-    """Soft dimension guard: the TAILDEP_MAX_P env variable, else ``default``.
-
-    Both guards read it here: coefficient arrays default to 16, the LP
-    deciders in ``realize`` to their own, smaller default.
-    """
-    env = os.environ.get("TAILDEP_MAX_P")
-    return int(env) if env else default
-
-
-def check_dimension(p: int, *, allow_large: bool = False) -> None:
+def check_dimension(p: int) -> None:
     if p < 1:
         raise SizeLimitError(f"dimension must be >= 1, got {p}")
     if p > HARD_MAX_P:
         raise SizeLimitError(
             f"p={p} exceeds the hard cap {HARD_MAX_P} (2**p array storage)"
-        )
-    if not allow_large and p > soft_max_p():
-        raise SizeLimitError(
-            f"p={p} exceeds the soft guard {soft_max_p()} (2**p storage and "
-            f"runtime); pass allow_large=True or set TAILDEP_MAX_P to override"
         )
 
 
@@ -96,7 +79,7 @@ def _store(nums) -> np.ndarray:
         arr = np.asarray(nums, dtype=object)
     else:
         # n * max|x| bounds the sum at the cost of two reductions
-        if max(int(arr.max()), -int(arr.min())) * len(arr) > _INT64_MAX:
+        if arr.size and max(int(arr.max()), -int(arr.min())) * len(arr) > _INT64_MAX:
             if sum(map(abs, arr.tolist())) > _INT64_MAX:
                 arr = arr.astype(object)
     arr.flags.writeable = False
@@ -150,7 +133,7 @@ class SubsetFn:
     __slots__ = ("p", "kind", "_values", "_nums", "_den")
 
     def __init__(self, p: int, values: tuple, kind: Kind) -> None:
-        check_dimension(p, allow_large=True)
+        check_dimension(p)
         n = (1 << p) - 1
         if len(values) != n:
             raise ValueError(f"expected {n} values for p={p}, got {len(values)}")
@@ -211,28 +194,14 @@ class SubsetFn:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_values(
-        cls,
-        p: int,
-        values: Sequence[RatLike],
-        kind: Kind,
-        *,
-        allow_large: bool = False,
-    ) -> "SubsetFn":
-        check_dimension(p, allow_large=allow_large)
+    def from_values(cls, p: int, values: Sequence[RatLike], kind: Kind) -> "SubsetFn":
+        check_dimension(p)
         return cls(p, tuple(rat(v) for v in values), kind)
 
     @classmethod
-    def from_entries(
-        cls,
-        p: int,
-        entries: Mapping[int, RatLike],
-        kind: Kind,
-        *,
-        allow_large: bool = False,
-    ) -> "SubsetFn":
+    def from_entries(cls, p: int, entries: Mapping[int, RatLike], kind: Kind) -> "SubsetFn":
         """Build from a sparse {mask: value} mapping; missing subsets are 0."""
-        check_dimension(p, allow_large=allow_large)
+        check_dimension(p)
         vals = [ZERO] * ((1 << p) - 1)
         for mask, v in entries.items():
             if not 1 <= mask < (1 << p):
@@ -241,8 +210,8 @@ class SubsetFn:
         return cls(p, tuple(vals), kind)
 
     @classmethod
-    def zeros(cls, p: int, kind: Kind, *, allow_large: bool = False) -> "SubsetFn":
-        check_dimension(p, allow_large=allow_large)
+    def zeros(cls, p: int, kind: Kind) -> "SubsetFn":
+        check_dimension(p)
         return cls(p, ((ZERO,) * ((1 << p) - 1)), kind)
 
     # -- access ------------------------------------------------------------
@@ -576,8 +545,6 @@ def spectral_distance_entry(td: TdMatrix, i: int, j: int) -> Rat:
 
 __all__ = [
     "HARD_MAX_P",
-    "DEFAULT_SOFT_MAX_P",
-    "soft_max_p",
     "check_dimension",
     "Kind",
     "SubsetFn",

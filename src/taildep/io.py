@@ -83,21 +83,24 @@ def subsetfn_from_json(data: Mapping[str, Any]) -> SubsetFn:
     p = _get(data, "p", "integer")
     kind = Kind(data["kind"])
     entries = _entries_from_json(_get(data, "entries", "array", []), p)
-    return SubsetFn.from_entries(p, entries, kind, allow_large=True)
+    return SubsetFn.from_entries(p, entries, kind)
 
 
 def tm_model_to_json(model: TmModel) -> dict:
     return {"p": model.p, "beta": _entries_to_json(list(model.support()))}
 
 
-def tm_model_from_json(data: Mapping[str, Any]) -> TmModel:
+def _model_entries(data: Any) -> tuple[int, dict[int, Rat]]:
+    """A model payload's p and sparse atom weights, before any 2**p array."""
     data = _shaped(data, "object", "model")
     if "beta" not in data and isinstance(data.get("model"), Mapping):
         data = data["model"]  # accept wrapped payloads (e.g. linemetric output)
     p = _get(data, "p", "integer")
-    return TmModel.from_entries(
-        p, _entries_from_json(_get(data, "beta", "array", []), p), allow_large=True
-    )
+    return p, _entries_from_json(_get(data, "beta", "array", []), p)
+
+
+def tm_model_from_json(data: Mapping[str, Any]) -> TmModel:
+    return TmModel.from_entries(*_model_entries(data))
 
 
 def cuts_to_json(cuts: CutDecomposition) -> dict:
@@ -178,10 +181,6 @@ def save_matrix(path: str | Path, rows: Sequence[Sequence[Rat]], json_key: str) 
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
         path.write_text(matrix_rows_to_csv(rows))
-
-
-def write_json(path: str | Path, payload: Mapping[str, Any]) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> Any:

@@ -19,13 +19,14 @@ exactness here; the default size guard documents it rather than hiding it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .coeffs import Kind, SubsetFn, TdMatrix, _store, lambda_from_beta, soft_max_p
+from .coeffs import Kind, SubsetFn, TdMatrix, _store, lambda_from_beta
 from .errors import (
     CertificateRejected,
     DegenerateReduction,
@@ -36,12 +37,7 @@ from .errors import (
 )
 from .lp import ExactSimplex
 from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
-from .spectral import (
-    CutDecomposition,
-    SemiMetric,
-    canonical_cuts,
-    cut_decomposition,
-)
+from .spectral import CutDecomposition, SemiMetric, canonical_cuts
 from .subsets import full_mask
 from .tm import TmModel, synthesize
 
@@ -50,7 +46,7 @@ DEFAULT_MAX_P = 12  # p = 13 SDR answers took 3.3-76 s, median 37 s (BENCH_6.jso
 
 def _guard(p: int, max_p: int | None) -> None:
     if max_p is None:
-        max_p = soft_max_p(DEFAULT_MAX_P)
+        max_p = int(os.environ.get("TAILDEP_MAX_P") or DEFAULT_MAX_P)
     if p > max_p:
         raise SizeLimitError(
             f"p={p} exceeds the decider guard {max_p}; the LP has ~2**p "
@@ -102,31 +98,46 @@ def sdr_rows(p: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(p) for j in range(i + 1, p)]
 
 
+def _covers(masks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """TDR: which subsets contain both ends of the pair (i, j)."""
+    need = (1 << i) | (1 << j)
+    return masks & need == need
+
+
+def _separates(masks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """SDR: which cuts put the two ends of the pair (i, j) on different sides."""
+    return (masks >> i & 1) != (masks >> j & 1)
+
+
+def _incidence(hits: callable, pairs: Sequence, masks: Sequence[int]) -> np.ndarray:
+    """0/1 int64 matrix, one row per pair and one column per mask: 1 where
+    ``hits`` (``_covers`` or ``_separates``) reports the mask on the pair."""
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2, 1)
+    return hits(np.array(masks, dtype=np.int64), ends[:, 0], ends[:, 1]).astype(np.int64)
+
+
+def _pairings(nums: Sequence[int], incidence) -> np.ndarray:
+    """nums' A for a 0/1 matrix A, exactly.
+
+    int64 when sum(|nums|) fits (``_store``): no partial sum of a 0/1
+    combination can exceed it.  Python ints otherwise.
+    """
+    v = _store(nums)
+    return v @ np.asarray(incidence, dtype=v.dtype)
+
+
 def tdr_system(L: TdMatrix) -> tuple[list[int], list[list[int]], list[Rat]]:
     """Columns = all nonempty subsets; row (i, j) sums the columns covering {i, j}."""
-    p = L.p
-    cols = list(range(1, 1 << p))
-    rows = []
-    rhs = []
-    for i, j in tdr_rows(p):
-        need = (1 << i) | (1 << j)
-        rows.append([1 if mask & need == need else 0 for mask in cols])
-        rhs.append(L.lam[i][j])
-    return cols, rows, rhs
+    pairs = tdr_rows(L.p)
+    cols = list(range(1, 1 << L.p))
+    return cols, _incidence(_covers, pairs, cols).tolist(), [L.lam[i][j] for i, j in pairs]
 
 
 def cut_system(d: SemiMetric) -> tuple[list[int], list[list[int]], list[Rat]]:
     """Columns = canonical proper cuts; row (i, j) sums the cuts separating i, j."""
-    p = d.p
-    cols = canonical_cuts(p)
-    rows = []
-    rhs = []
-    for i, j in sdr_rows(p):
-        rows.append(
-            [1 if (mask >> i & 1) != (mask >> j & 1) else 0 for mask in cols]
-        )
-        rhs.append(d.d[i][j])
-    return cols, rows, rhs
+    pairs = sdr_rows(d.p)
+    cols = canonical_cuts(d.p)
+    return cols, _incidence(_separates, pairs, cols).tolist(), [d.d[i][j] for i, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +158,7 @@ def decide_tdr(L: TdMatrix, *, max_p: int | None = None) -> FeasibilityOutcome:
             "tdr", Status.INFEASIBLE, L.p, pairs, farkas=tuple(lp.farkas)
         )
     x = lp.witness()
-    beta = SubsetFn.from_values(L.p, x, Kind.BETA, allow_large=True)
+    beta = SubsetFn.from_values(L.p, x, Kind.BETA)
     model = TmModel(L.p, beta)
     # Round-trip sanity: synthesizing the induced full lambda system must
     # recover exactly these weights.
@@ -190,7 +201,7 @@ def materialize_sdr_model(
         entries[fm ^ mask] = entries.get(fm ^ mask, ZERO) + w / 2
     if slack > 0:
         entries[fm] = entries.get(fm, ZERO) + slack
-    model = TmModel.from_entries(p, entries, allow_large=True)
+    model = TmModel.from_entries(p, entries)
     cuts = CutDecomposition(
         p,
         tuple((m, w) for m, w in zip(cols, weights) if w != 0),
@@ -263,47 +274,17 @@ def normalize_sdr_to_tdr(d: SemiMetric) -> TdMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _verify_farkas(
-    row_pairs: Sequence[tuple[int, int]],
-    farkas: Sequence[Rat],
-    cols: Sequence[int],
-    rhs: Sequence[Rat],
-    column_hits: callable,
-) -> bool:
-    """Check y'b > 0 and y'A_J <= 0 for every column J, in integers.
-
-    With y = ys / q (q > 0, common denominator) and b = bs / r (r > 0),
-    every pairing has the sign of its numerator: ys'bs, and the sum of ys
-    over the rows whose pair ``column_hits`` reports in J (vectorized over
-    the column masks).
-    """
-    if len(farkas) != len(row_pairs):
-        raise CertificateRejected("certificate length does not match row count")
-    ys, _ = to_common_numerators(farkas)
-    bs, _ = to_common_numerators(rhs)
-    if sum(y * b for y, b in zip(ys, bs)) <= 0:
-        raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
-    masks = np.array(cols, dtype=np.int64)
-    # q * y'A_J; int64 when sum(|ys|) fits (``_store``), so no load overflows
-    loads = np.zeros(len(cols), dtype=_store(ys).dtype)
-    for y, pair in zip(ys, row_pairs):
-        if y:
-            loads[column_hits(masks, pair)] += y
-    positive = np.flatnonzero(loads > 0)
-    if positive.size:
-        raise CertificateRejected(f"Farkas pairing with column {cols[positive[0]]} is positive")
-    return True
-
-
-def _covers(masks: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """TDR: which subsets contain both ends of the pair."""
-    need = (1 << pair[0]) | (1 << pair[1])
-    return masks & need == need
-
-
-def _separates(masks: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """SDR: which cuts put the two ends of the pair on different sides."""
-    return (masks >> pair[0] & 1) != (masks >> pair[1] & 1)
+def _mismatch(
+    nums: Sequence[int], den: int, hits: callable, masks: Sequence[int], pairs: Sequence, target
+) -> tuple | None:
+    """First ((i, j), sum) where the sum of nums / den over the masks that
+    ``hits`` the pair differs from target[i][j]; None if every pair matches."""
+    sums = _pairings(nums, _incidence(hits, pairs, masks).T)
+    for (i, j), total in zip(pairs, sums.tolist()):
+        want = target[i][j]
+        if total * want.denominator != want.numerator * den:
+            return (i, j), Rat(total, den)
+    return None
 
 
 def verify_certificate(
@@ -311,73 +292,87 @@ def verify_certificate(
 ) -> bool:
     """Re-check a witness or Farkas certificate by direct summation.
 
-    Uses nothing from the solver: plain sums over subsets and constraint
-    rows in exact integer arithmetic, over common denominators.  Returns
-    True, or raises CertificateRejected with the first discrepancy.
+    Uses nothing from the solver.  Every check is an exact integer pairing
+    (``_pairings``) of numerators over a common denominator with a 0/1
+    incidence (``_covers`` for TDR, ``_separates`` for SDR):
+
+    * a TDR witness must sum, over the subsets covering each row pair, to
+      that pair's coefficient;
+    * SDR cut weights must sum, over the cuts separating each pair, to its
+      distance; a materialized model must have every marginal (the sum over
+      the subsets covering (i, i)) equal to ``scale`` and, atom J separating
+      (i, j) exactly as its cut does, reproduce every distance;
+    * a Farkas vector y must pair positively with the right-hand side and
+      nonpositively with every column.
+
+    Returns True, or raises CertificateRejected with the first discrepancy.
     """
     if outcome.problem == "tdr":
         if not isinstance(instance, TdMatrix):
             raise CertificateRejected("TDR certificate paired with a non-TD instance")
-        L = instance
-        if outcome.p != L.p:
-            raise CertificateRejected("dimension mismatch")
-        masks = np.arange(1, 1 << L.p, dtype=np.int64)
-        if outcome.status is Status.FEASIBLE:
-            beta = outcome.witness_beta
-            if beta is None:
-                raise CertificateRejected("missing or negative witness")
-            if beta.p != L.p:
-                raise CertificateRejected("dimension mismatch")
-            nums, den = to_common_numerators(beta.values)  # beta = nums / den
-            weights = _store(nums)  # int64 when sum(|nums|) fits: exact sums
-            if weights.min() < 0:
-                raise CertificateRejected("missing or negative witness")
-            for i, j in outcome.row_pairs:
-                total = int(weights[_covers(masks, (i, j))].sum())
-                lam = L.lam[i][j]
-                if total * lam.denominator != lam.numerator * den:
-                    raise CertificateRejected(
-                        f"witness pair sum at ({i + 1},{j + 1}) is {Rat(total, den)}, "
-                        f"expected {L.lam[i][j]}"
-                    )
-            return True
-        rhs = [L.lam[i][j] for i, j in outcome.row_pairs]
-        return _verify_farkas(outcome.row_pairs, outcome.farkas, masks.tolist(), rhs, _covers)
-
-    if outcome.problem == "sdr":
+        p, target, hits = instance.p, instance.lam, _covers
+        masks = list(range(1, 1 << p))
+    elif outcome.problem == "sdr":
         if not isinstance(instance, SemiMetric):
             raise CertificateRejected("SDR certificate paired with a non-metric instance")
-        d = instance
-        if outcome.p != d.p:
+        p, target, hits = instance.p, instance.d, _separates
+        masks = canonical_cuts(p)
+    else:
+        raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")
+    if outcome.p != p:
+        raise CertificateRejected("dimension mismatch")
+    pairs = outcome.row_pairs
+    if outcome.status is not Status.FEASIBLE:
+        # with y = ys / q and b = bs / r (q, r > 0), y'b and every y'A_J
+        # have the signs of ys'bs and ys'A_J
+        if len(outcome.farkas) != len(pairs):
+            raise CertificateRejected("certificate length does not match row count")
+        ys, _ = to_common_numerators(outcome.farkas)
+        bs, _ = to_common_numerators([target[i][j] for i, j in pairs])
+        if sum(y * b for y, b in zip(ys, bs)) <= 0:
+            raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
+        positive = np.flatnonzero(_pairings(ys, _incidence(hits, pairs, masks)) > 0)
+        if positive.size:
+            raise CertificateRejected(f"Farkas pairing with column {masks[positive[0]]} is positive")
+        return True
+
+    if outcome.problem == "tdr":
+        beta = outcome.witness_beta
+        if beta is None:
+            raise CertificateRejected("missing or negative witness")
+        if beta.p != p:
             raise CertificateRejected("dimension mismatch")
-        if outcome.status is Status.FEASIBLE:
-            cuts = outcome.cuts
-            if cuts is None or any(w < 0 for _, w in cuts.cuts):
-                raise CertificateRejected("missing or negative cut weights")
-            recon = cuts.reconstruct()
-            for i, j in outcome.row_pairs:
-                if recon.d[i][j] != d.d[i][j]:
-                    raise CertificateRejected(
-                        f"cut reconstruction at ({i + 1},{j + 1}) is "
-                        f"{recon.d[i][j]}, expected {d.d[i][j]}"
-                    )
-            model = outcome.model
-            if model is not None and outcome.scale is not None:
-                scales = model.marginal_scales()
-                if any(s != outcome.scale for s in scales):
-                    raise CertificateRejected("materialized marginals are unequal")
-                model_d = cut_decomposition(model).reconstruct()
-                if model_d.d != d.d:
-                    raise CertificateRejected(
-                        "materialized model does not reproduce the distances"
-                    )
-            return True
-        rhs = [d.d[i][j] for i, j in outcome.row_pairs]
-        return _verify_farkas(
-            outcome.row_pairs, outcome.farkas, canonical_cuts(d.p), rhs, _separates
+        nums, den = beta._numerators()
+        if nums.min() < 0:
+            raise CertificateRejected("missing or negative witness")
+        what = "witness pair sum"
+    else:
+        cuts = outcome.cuts
+        if cuts is None or any(w < 0 for _, w in cuts.cuts):
+            raise CertificateRejected("missing or negative cut weights")
+        nums, den = to_common_numerators([w for _, w in cuts.cuts])
+        masks = [m for m, _ in cuts.cuts]
+        what = "cut reconstruction"
+    miss = _mismatch(nums, den, hits, masks, pairs, target)
+    if miss is not None:
+        (i, j), total = miss
+        raise CertificateRejected(
+            f"{what} at ({i + 1},{j + 1}) is {total}, expected {target[i][j]}"
         )
 
-    raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")
+    model, scale = outcome.model, outcome.scale
+    if outcome.problem == "sdr" and model is not None and scale is not None:
+        # marginal i sums the atoms covering (i, i); atom J separates (i, j)
+        # exactly as its cut does, and the full set separates nothing
+        q = model.p
+        nums, den = model.beta._numerators()
+        subsets = range(1, 1 << q)
+        diagonal = [(i, i) for i in range(q)]
+        if _mismatch(nums, den, _covers, subsets, diagonal, [[scale] * q] * q):
+            raise CertificateRejected("materialized marginals are unequal")
+        if q != p or _mismatch(nums, den, _separates, subsets, sdr_rows(q), target):
+            raise CertificateRejected("materialized model does not reproduce the distances")
+    return True
 
 
 __all__ = [

@@ -365,23 +365,6 @@ class RigidityReport:
     certificate: tuple | None = None  # dual y proving uniqueness, when rigid
 
 
-def _check_uniqueness_certificate(
-    rows: list[list[int]], rhs: list, outside: list[int], y: list
-) -> None:
-    """Integer check of y'A_j >= outside_j for every column and y'b = 0."""
-    ys, q = to_common_numerators(y)  # y = ys / q, q > 0
-    bs, _ = to_common_numerators(rhs)
-    if sum(a * b for a, b in zip(ys, bs)) != 0:
-        raise InternalError("uniqueness certificate: y'd != 0")
-    loads = [0] * len(outside)  # q * y'A_j
-    for a, row in zip(ys, rows):
-        if a:
-            loads = [load + a * c for load, c in zip(loads, row)]
-    for j, (load, out) in enumerate(zip(loads, outside)):
-        if load < q * out:
-            raise InternalError(f"uniqueness certificate fails on cut column {j}")
-
-
 def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityReport:
     """Decide whether d has exactly one cut decomposition, with a proof.
 
@@ -400,7 +383,7 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     the decider's optimum (which differ) are added, so a non-unique d never
     gets a rigid report.  Requires d to be decomposable at all.
     """
-    from .realize import cut_system  # deferred: realize imports this module
+    from .realize import _pairings, cut_system  # deferred: realize imports this module
 
     if trials < 1:
         raise ValueError("need at least one objective")
@@ -419,7 +402,15 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     decider = lp.copy()
     excess, x_other = decider.maximize(outside)
     if excess == 0:
-        _check_uniqueness_certificate(rows, rhs, outside, decider.dual)
+        # the certificate in integers: y = ys / q, q > 0
+        ys, q = to_common_numerators(decider.dual)
+        bs, _ = to_common_numerators(rhs)
+        if sum(a * b for a, b in zip(ys, bs)) != 0:
+            raise InternalError("uniqueness certificate: y'd != 0")
+        loads = _pairings(ys, rows).tolist()  # q * y'A_j
+        for j, (load, out) in enumerate(zip(loads, outside)):
+            if load < q * out:
+                raise InternalError(f"uniqueness certificate fails on cut column {j}")
         ranges = tuple((cols[j], x_star[j], x_star[j]) for j in range(n))
         return RigidityReport(d.p, ranges, True, None, trials, tuple(decider.dual))
 

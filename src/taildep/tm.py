@@ -60,12 +60,8 @@ class TmModel:
             raise ValueError("dimension mismatch between p and weights")
 
     @classmethod
-    def from_entries(
-        cls, p: int, entries: Mapping[int, RatLike], *, allow_large: bool = False
-    ) -> "TmModel":
-        return cls(
-            p, SubsetFn.from_entries(p, entries, Kind.BETA, allow_large=allow_large)
-        )
+    def from_entries(cls, p: int, entries: Mapping[int, RatLike]) -> "TmModel":
+        return cls(p, SubsetFn.from_entries(p, entries, Kind.BETA))
 
     @property
     def is_degenerate(self) -> bool:
@@ -355,9 +351,7 @@ class BernoulliModelResult:
     dropped_empty_mass: Rat
 
 
-def model_from_bernoulli(
-    pmf: Mapping[int, RatLike], p: int, *, allow_large: bool = False
-) -> BernoulliModelResult:
+def model_from_bernoulli(pmf: Mapping[int, RatLike], p: int) -> BernoulliModelResult:
     """Model whose atom weights are P[Theta = J] for nonempty J.
 
     The input pmf may put mass on the empty set (mask 0); that mass cannot
@@ -381,7 +375,7 @@ def model_from_bernoulli(
             entries[mask] = entries.get(mask, ZERO) + q
     if total != 1:
         raise InvalidPmf(f"pmf sums to {total}, expected exactly 1")
-    model = TmModel.from_entries(p, entries, allow_large=allow_large)
+    model = TmModel.from_entries(p, entries)
     return BernoulliModelResult(model, dropped)
 
 

@@ -290,7 +290,7 @@ def test_transform_values_have_int_parts(beta, bits):
 def test_item_read_builds_no_rationals():
     rng = np.random.default_rng(16)
     nums = rng.integers(0, 9, size=(1 << 16) - 1).tolist()
-    beta = SubsetFn.from_values(16, [rat(v, 8) for v in nums], Kind.BETA, allow_large=True)
+    beta = SubsetFn.from_values(16, [rat(v, 8) for v in nums], Kind.BETA)
     masks = [1, 3, 0b1010, 1 << 15, (1 << 16) - 1]
     huge = beta.scaled(1 << 70)  # numerators beyond int64
     for fn in (lambda_from_beta(beta), theta_from_beta(beta), lambda_from_beta(huge)):
@@ -414,17 +414,20 @@ def test_raw_kind_allows_negative():
 
 
 def test_soft_size_guard(monkeypatch):
-    monkeypatch.delenv("TAILDEP_MAX_P", raising=False)
-    with pytest.raises(SizeLimitError):
-        SubsetFn.zeros(17, Kind.BETA)
-    SubsetFn.zeros(17, Kind.BETA, allow_large=True)
-    monkeypatch.setenv("TAILDEP_MAX_P", "18")
-    SubsetFn.zeros(17, Kind.BETA)
+    # coefficient arrays have only the hard cap; TAILDEP_MAX_P guards the deciders
+    for env in (None, "12", "18"):
+        if env is None:
+            monkeypatch.delenv("TAILDEP_MAX_P", raising=False)
+        else:
+            monkeypatch.setenv("TAILDEP_MAX_P", env)
+        assert SubsetFn.zeros(17, Kind.BETA).p == 17
+        with pytest.raises(SizeLimitError):
+            SubsetFn.zeros(27, Kind.BETA)
 
 
 def test_hard_size_guard():
     with pytest.raises(SizeLimitError):
-        SubsetFn.zeros(27, Kind.BETA, allow_large=True)
+        SubsetFn.zeros(27, Kind.BETA)
 
 
 def test_wrong_length_rejected():

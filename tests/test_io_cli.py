@@ -271,6 +271,15 @@ class TestCliExitCodes:
         (tmp_path / "m7.json").write_text(json.dumps(tio.tm_model_to_json(model)))
         assert main(["report", "--model", str(tmp_path / "m7.json")]) == 2
 
+    def test_report_refuses_large_p_before_building_arrays(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a 2**p array was built")
+
+        monkeypatch.setattr(TmModel, "from_entries", refuse)
+        (tmp_path / "m20.json").write_text('{"p": 20, "beta": []}')
+        assert main(["report", "--model", str(tmp_path / "m20.json")]) == 2
+        assert "p=20 > 6" in capsys.readouterr().err
+
     def test_console_entrypoint_matches_module(self, workdir):
         import subprocess
         import sys

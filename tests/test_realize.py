@@ -33,7 +33,7 @@ from taildep.realize import (
     verify_certificate,
 )
 from taildep.spectral import SemiMetric, cut_decomposition
-from taildep.tm import model_from_bernoulli
+from taildep.tm import TmModel, model_from_bernoulli
 
 
 class TestDecideTdr:
@@ -265,6 +265,109 @@ class TestCertificates:
         unit = tuple(rat(1, 3) if pair == (0, 3) else rat(0) for pair in out.row_pairs)
         with pytest.raises(CertificateRejected, match="^Farkas pairing with column 1 is positive$"):
             verify_certificate(replace(out, farkas=unit), d)
+
+        # a line: cuts {1} (weight 1) and {1, 2} (weight 2), scale 18
+        d = SemiMetric.from_rows([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+        out = decide_sdr(d)
+        assert verify_certificate(out, d)
+        cuts = replace(out.cuts, cuts=((1, rat(-1)), (3, rat(2))))
+        with pytest.raises(CertificateRejected, match="^missing or negative cut weights$"):
+            verify_certificate(replace(out, cuts=cuts), d)
+        cuts = replace(out.cuts, cuts=((1, rat(3, 2)), (3, rat(2))))
+        recon = r"^cut reconstruction at \(1,2\) is 3/2, expected 1$"
+        with pytest.raises(CertificateRejected, match=recon):
+            verify_certificate(replace(out, cuts=cuts), d)
+        atoms = dict(out.model.support())
+        atoms[1] += 1
+        model = TmModel.from_entries(3, atoms)
+        with pytest.raises(CertificateRejected, match="^materialized marginals are unequal$"):
+            verify_certificate(replace(out, model=model), d)
+        # every marginal 18, every distance 0
+        model = TmModel.from_entries(3, {0b111: rat(18)})
+        distances = "^materialized model does not reproduce the distances$"
+        with pytest.raises(CertificateRejected, match=distances):
+            verify_certificate(replace(out, model=model), d)
+        # two components with marginals 18 at distance d(1, 2) = 1
+        model = TmModel.from_entries(2, {0b01: rat(1, 2), 0b10: rat(1, 2), 0b11: rat(35, 2)})
+        with pytest.raises(CertificateRejected, match=distances):
+            verify_certificate(replace(out, model=model), d)
+
+    def test_witness_checks_match_rational_sums(self, rng):
+        # the integer checks of TDR witnesses and of SDR cut weights and
+        # models against plain rational sums, on perturbed witnesses; every
+        # second trial scales instance and witness by 2**90 (leaving int64)
+        from dataclasses import replace
+
+        from taildep.coeffs import Kind, SubsetFn
+        from taildep.spectral import CutDecomposition
+
+        def covers(mask, i, j):
+            return mask >> i & 1 and mask >> j & 1
+
+        def separates(mask, i, j):
+            return (mask >> i & 1) != (mask >> j & 1)
+
+        def sums_hold(weights, hits, pairs, want):
+            return all(
+                sum((w for m, w in weights if hits(m, i, j)), rat(0)) == want(i, j)
+                for i, j in pairs
+            )
+
+        def perturbed(values):
+            values = list(values)
+            k = rng.randrange(len(values))
+            values[k] += rat(rng.randint(-2, 2), rng.choice([1, 3, 8]))
+            return values
+
+        def accepts(outcome, instance):
+            try:
+                return verify_certificate(outcome, instance)
+            except CertificateRejected:
+                return False
+
+        seen = set()
+        for p in (3, 4, 5):
+            L = pair_matrix_from_beta(random_unit_margin_beta(p, rng))
+            d = random_cut_metric(p, rng)
+            tdr, sdr = decide_tdr(L), decide_sdr(d)
+            tdr_pairs = [(i, j) for i in range(p) for j in range(i, p)]
+            sdr_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+            for trial in range(40):
+                c = 1 << (90 * (trial % 2))
+                Lc = TdMatrix.from_rows([[c * v for v in row] for row in L.lam])
+                dc = SemiMetric.from_rows([[c * v for v in row] for row in d.d])
+
+                beta = perturbed(c * v for v in tdr.witness_beta.values)
+                valid = min(beta) >= 0 and sums_hold(
+                    list(enumerate(beta, start=1)), covers, tdr_pairs, lambda i, j: Lc.lam[i][j]
+                )
+                witness = SubsetFn(p, tuple(beta), Kind.RAW)
+                assert accepts(replace(tdr, witness_beta=witness), Lc) == valid
+                seen.add(valid)
+
+                masks = [m for m, _ in sdr.cuts.cuts]
+                weights = list(zip(masks, perturbed(c * w for _, w in sdr.cuts.cuts)))
+                valid = min(w for _, w in weights) >= 0 and sums_hold(
+                    weights, separates, sdr_pairs, lambda i, j: dc.d[i][j]
+                )
+                cuts = CutDecomposition(p, tuple(weights), c * sdr.cuts.slack_full)
+                assert accepts(replace(sdr, cuts=cuts, model=None), dc) == valid
+                seen.add(valid)
+
+                atoms = [(m, c * v) for m, v in sdr.model.beta.entries()]
+                atoms = list(zip([m for m, _ in atoms], perturbed(v for _, v in atoms)))
+                if min(v for _, v in atoms) < 0:
+                    continue  # not a model
+                scale = c * sdr.scale
+                valid = sums_hold(
+                    atoms, covers, [(i, i) for i in range(p)], lambda i, j: scale
+                ) and sums_hold(atoms, separates, sdr_pairs, lambda i, j: dc.d[i][j])
+                model = TmModel.from_entries(p, dict(atoms))
+                outcome = replace(sdr, cuts=replace(sdr.cuts, cuts=tuple(
+                    (m, c * w) for m, w in sdr.cuts.cuts)), model=model, scale=scale)
+                assert accepts(outcome, dc) == valid
+                seen.add(valid)
+        assert seen == {True, False}
 
     def test_farkas_check_matches_rational_sums(self, rng):
         # the integer check against plain rational sums, on perturbed
