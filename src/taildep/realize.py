@@ -305,23 +305,27 @@ def verify_certificate(
     * a Farkas vector y must pair positively with the right-hand side and
       nonpositively with every column.
 
-    Returns True, or raises CertificateRejected with the first discrepancy.
+    The rows are the problem's own (``tdr_rows``/``sdr_rows``); an outcome
+    listing any other rows is rejected.  Returns True, or raises
+    CertificateRejected with the first discrepancy.
     """
     if outcome.problem == "tdr":
         if not isinstance(instance, TdMatrix):
             raise CertificateRejected("TDR certificate paired with a non-TD instance")
         p, target, hits = instance.p, instance.lam, _covers
-        masks = list(range(1, 1 << p))
+        masks, pairs = list(range(1, 1 << p)), tdr_rows(p)
     elif outcome.problem == "sdr":
         if not isinstance(instance, SemiMetric):
             raise CertificateRejected("SDR certificate paired with a non-metric instance")
         p, target, hits = instance.p, instance.d, _separates
-        masks = canonical_cuts(p)
+        masks, pairs = canonical_cuts(p), sdr_rows(p)
     else:
         raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")
     if outcome.p != p:
         raise CertificateRejected("dimension mismatch")
-    pairs = outcome.row_pairs
+    # every constraint is checked, not just the rows the outcome lists
+    if list(outcome.row_pairs) != pairs:
+        raise CertificateRejected("constraint rows do not match the problem's")
     if outcome.status is not Status.FEASIBLE:
         # with y = ys / q and b = bs / r (q, r > 0), y'b and every y'A_J
         # have the signs of ys'bs and ys'A_J

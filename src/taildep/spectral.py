@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .coeffs import TdMatrix, spectral_distance_entry
@@ -192,12 +193,35 @@ class LineMetricCert:
     def p(self) -> int:
         return len(self.order)
 
+    # The two caches below live in the instance dict, outside the fields:
+    # equality, hash and repr never see them.
+
+    @cached_property
+    def _positions(self) -> tuple[int, ...]:
+        """The line position of each component."""
+        pos = [0] * len(self.order)
+        for k, comp in enumerate(self.order):
+            pos[comp] = k
+        return tuple(pos)
+
+    @cached_property
+    def _prefix(self) -> tuple[Rat, ...]:
+        """The distance from position 0 to each position."""
+        prefix = [ZERO]
+        for w in self.weights:
+            prefix.append(prefix[-1] + w)
+        return tuple(prefix)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only, not the caches
+        return {"order": self.order, "weights": self.weights}
+
     def position_of(self) -> dict[int, int]:
         return {comp: pos for pos, comp in enumerate(self.order)}
 
     def distance(self, pos_i: int, pos_j: int) -> Rat:
         lo, hi = min(pos_i, pos_j), max(pos_i, pos_j)
-        return sum(self.weights[lo:hi], ZERO)
+        return self._prefix[hi] - self._prefix[lo]
 
 
 @dataclass(frozen=True)
@@ -262,6 +286,22 @@ class LineTmModel:
     cert: LineMetricCert
     marginals: tuple  # marginal scale per original component index
 
+    @cached_property
+    def _halves(self) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
+        """((m_k + x_k) / 2, ...) and ((m_k - x_k) / 2, ...) over the line
+        positions k, for the marginal m_k and the distance x_k from position
+        0.  Cached outside the fields, like ``LineMetricCert``'s caches."""
+        ms = [self.marginals[comp] for comp in self.cert.order]
+        xs = self.cert._prefix
+        return (
+            tuple((m + x) / 2 for m, x in zip(ms, xs)),
+            tuple((m - x) / 2 for m, x in zip(ms, xs)),
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only, not the cache
+        return {"model": self.model, "cert": self.cert, "marginals": self.marginals}
+
 
 def line_tm_model(
     cert: LineMetricCert, marginals: Sequence[RatLike]
@@ -317,18 +357,17 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
     """lambda(J) of a line model: the pairwise coefficient of J's extremes.
 
     Along the line, every atom is a prefix or a suffix, so containing a set
-    is the same as containing its extreme positions.
+    is the same as containing its extreme positions lo <= hi, and
+    lambda(J) = (m_lo + m_hi - (x_hi - x_lo)) / 2 for the marginals m and
+    the distances x from position 0; both halves are found once per line.
     """
-    cert = line_model.cert
-    p = cert.p
+    p = line_model.cert.p
     if subset == 0 or subset >= (1 << p):
         raise ValueError(f"subset mask {subset} out of range")
-    pos = cert.position_of()
+    pos = line_model.cert._positions
     positions = [pos[i] for i in range(p) if subset >> i & 1]
-    lo, hi = min(positions), max(positions)
-    mline_lo = line_model.marginals[cert.order[lo]]
-    mline_hi = line_model.marginals[cert.order[hi]]
-    value = (mline_lo + mline_hi - cert.distance(lo, hi)) / 2
+    rising, falling = line_model._halves
+    value = rising[min(positions)] + falling[max(positions)]
     if value != line_model.model.lambda_of(subset):
         raise InternalError("line formula disagrees with the model's lambda")
     return value
@@ -370,11 +409,17 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
 
     Phase one of the cut system gives a decomposition x* with support S,
     which lies inside the simplex basis, so the cut vectors of S are
-    linearly independent.  One warm-started LP maximizes the total weight
-    outside S: the decomposition is unique iff that optimum is 0, and its
-    dual is then the report's certificate, checked here in integers.  A
-    unique x* is the optimum of every objective, so the report is what
-    ``trials`` objectives would observe, built without solving them.
+    linearly independent.  When d is a line (``detect_line_metric``),
+    phase one starts from the basis of its prefix cuts with nonzero gap,
+    which already decompose d, so it only drives the artificials out (at
+    most one pivot per pair) instead of searching for a decomposition; any
+    other d starts from the all-artificial basis.  The start can change the
+    certificate, never the ranges or the verdict.  One warm-started LP
+    maximizes the total weight outside S: the decomposition is unique iff
+    that optimum is 0, and its dual is then the report's certificate,
+    checked here in integers.  A unique x* is the optimum of every
+    objective, so the report is what ``trials`` objectives would observe,
+    built without solving them.
 
     Otherwise the cut system is re-solved under ``trials`` objectives,
     alternating between single-cut min/max pairs (cycling through the
@@ -393,7 +438,19 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
         return RigidityReport(d.p, (), True, None, 1, ())
     from .lp import ExactSimplex
 
-    lp = ExactSimplex(rows, rhs)
+    basis = None
+    line = detect_line_metric(d)
+    if isinstance(line, LineMetricCert):
+        # a line is the sum of its prefix cuts weighted by its gaps: start
+        # phase one from the cuts of the nonzero gaps.  The canonical cuts
+        # are the odd masks below the full set, ascending: cut c is column
+        # c >> 1.
+        basis, prefix = [], 0
+        for comp, gap in zip(line.order, line.weights):
+            prefix |= 1 << comp
+            if gap:
+                basis.append(canonical_cut(prefix, d.p) >> 1)
+    lp = ExactSimplex(rows, rhs, basis=basis)
     if not lp.feasible:
         raise NotInCutCone("semimetric admits no cut decomposition")
     n = len(cols)

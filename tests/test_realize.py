@@ -241,6 +241,11 @@ class TestCertificates:
         bad = replace(out, witness_beta=SubsetFn(3, tuple(rat(1, 7) for _ in range(7)), Kind.BETA))
         with pytest.raises(CertificateRejected, match="^dimension mismatch$"):
             verify_certificate(bad, L)
+        # no rows listed: a witness that misses every pair sum must not pass
+        bad = replace(out, row_pairs=(), witness_beta=SubsetFn(2, (rat(5),) * 3, Kind.BETA))
+        rows = "^constraint rows do not match the problem's$"
+        with pytest.raises(CertificateRejected, match=rows):
+            verify_certificate(bad, L)
 
         T = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
         out = decide_tdr(T)
@@ -261,6 +266,8 @@ class TestCertificates:
         d = k23_metric()
         out = decide_sdr(d)
         assert verify_certificate(out, d)
+        with pytest.raises(CertificateRejected, match=rows):
+            verify_certificate(replace(out, row_pairs=out.row_pairs[::-1]), d)
         # one pair's row: every cut separating that pair pairs to its weight
         unit = tuple(rat(1, 3) if pair == (0, 3) else rat(0) for pair in out.row_pairs)
         with pytest.raises(CertificateRejected, match="^Farkas pairing with column 1 is positive$"):

@@ -276,6 +276,61 @@ class TestUniquenessDecider:
             assert report.rigid_consistent
             assert fraction_certificate_holds(d, report)
 
+    @pytest.mark.parametrize("p", range(2, 10))
+    def test_warm_started_lines_equal_reference(self, p):
+        # gaps as drawn, every second gap zero (co-located points), and all
+        # gaps zero, each under a random relabelling; the probe starts from
+        # the nonzero-gap prefix cuts, the reference from scratch
+        rng = random.Random(300 + p)
+        drawn, _ = random_line_instance(p, rng)
+        for case, weights in enumerate([
+            drawn,
+            [w if k % 2 else ZERO for k, w in enumerate(drawn)],
+            [ZERO] * (p - 1),
+        ]):
+            d = line_metric_from_weights(weights, rng.sample(range(p), p))
+            report = rigidity_probe(d, trials=20, seed=case)
+            assert _without_certificate(report) == reference_rigidity_probe(
+                d, trials=20, seed=case
+            )
+            assert report.rigid_consistent
+            assert fraction_certificate_holds(d, report)
+
+    def test_line_probe_starts_from_its_nonzero_gap_cuts(self, monkeypatch):
+        hints = []
+        init = ExactSimplex.__init__
+
+        def spy(self, rows, rhs, basis=None):
+            hints.append(basis)
+            init(self, rows, rhs, basis=basis)
+
+        monkeypatch.setattr(ExactSimplex, "__init__", spy)
+        d = line_metric_from_weights([2, 0, 3, 0, 1], [4, 0, 5, 2, 1, 3])
+        report = rigidity_probe(d, trials=20)
+        support = [j for j, (_, lo, _) in enumerate(report.ranges) if lo]
+        assert len(support) == 3 and sorted(hints[0]) == support
+        rigidity_probe(EQUILATERAL_P4, trials=20)
+        assert hints[-1] is None  # not a line: the cold start
+
+    def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
+        # regression guard by pivot count, not time: from the prefix cuts,
+        # phase one makes at most one pivot per row (m = 45); from the
+        # all-artificial basis it makes 366 on this metric
+        solvers = []
+        init = ExactSimplex.__init__
+
+        def spy(self, *args, **kwargs):
+            solvers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactSimplex, "__init__", spy)
+        rng = random.Random(10)
+        weights, _ = random_line_instance(10, rng)
+        d = line_metric_from_weights(weights, rng.sample(range(10), 10))
+        assert rigidity_probe(d, trials=20).rigid_consistent
+        assert len(solvers) == 1
+        assert 0 < solvers[0].stats.phase_one_pivots <= 45
+
     def test_one_point_is_rigid_with_empty_certificate(self):
         report = rigidity_probe(SemiMetric.from_rows([[0]]), trials=3)
         assert _without_certificate(report) == reference_rigidity_probe(
