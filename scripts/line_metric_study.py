@@ -3,7 +3,7 @@
 
 Example:
     python scripts/line_metric_study.py --weights 1,2 --marginals 2,2,2
-    python scripts/line_metric_study.py --random-p 6 --seed 3 --trials 30
+    python scripts/line_metric_study.py --random-p 6 --seed 3
 """
 
 import argparse
@@ -28,8 +28,7 @@ def main() -> None:
     ap.add_argument("--weights", help="comma-separated consecutive gaps, e.g. 1,2")
     ap.add_argument("--marginals", help="comma-separated marginal scales")
     ap.add_argument("--random-p", type=int, help="draw a random instance of this size")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trials", type=int, default=20, help="probe objectives")
+    ap.add_argument("--seed", type=int, default=0, help="seed of --random-p")
     args = ap.parse_args()
 
     if args.random_p:
@@ -69,7 +68,7 @@ def main() -> None:
         print(f"  lambda({set(labels_of(mask))}) = {rat_str(lam)}")
 
     print("\ncut weights over all decompositions:")
-    report = rigidity_probe(d, trials=args.trials, seed=args.seed)
+    report = rigidity_probe(d)
     for mask, lo, hi in report.ranges:
         tag = "" if lo == hi else "   <-- non-unique!"
         print(f"  cut {set(labels_of(mask))}: [{rat_str(lo)}, {rat_str(hi)}]{tag}")

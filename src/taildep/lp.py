@@ -58,18 +58,6 @@ Ratio and lexicographic tests compare entries of N by cross-multiplication,
 so no gcd is ever taken inside the loops; rationals are built only for the
 witness, the Farkas vector, the dual multipliers and the optimum value.
 
-Starting basis.  ``ExactSimplex(rows, rhs, basis=cols)`` starts from a
-known basis instead of running phase one from scratch: the given columns
-are pivoted into the all-artificial basis one by one, each on the first
-row an artificial still holds where its entry is nonzero, with the same
-pivot formula.  If every column enters and R b >= 0, phase one continues
-from there; when no artificial is left at a positive level it is already
-optimal, and only the artificials at level 0 are driven out.  A column
-dependent on those before it, or a negative basic value, sends the solver
-back to the all-artificial basis, so a hint can cost time but never
-change whether an answer is right.  Without a hint every pivot is the one
-the cold start has always made.
-
 Dual read-out.  The artificial part of the reduced-cost row is minus the
 current multipliers, rc_art = -c_B' R, and phase two never prices the
 artificial columns, so no pivot changes; the lexicographic ratio test
@@ -294,18 +282,15 @@ def _smallest(cands: list[int], column: list[int], entries: list[int]) -> list[i
 class ExactSimplex:
     """Equality-form revised simplex over exact rationals, on integers inside.
 
-    Construction runs phase one immediately, from the all-artificial basis
-    or from the columns ``basis`` names (module docstring, "Starting
-    basis"; the hint's pivots count as phase one's).  When feasible, the
-    artificial variables are driven out of the basis (redundant rows
-    dropped) and ``minimize`` / ``maximize`` re-optimize from the current
-    basis, leaving the optimal multipliers of the original rows in
-    ``dual``.  ``stats`` counts the work done.
+    Construction runs phase one immediately, from the all-artificial basis.
+    When feasible, the artificial variables are driven out of the basis
+    (redundant rows dropped) and
+    ``minimize`` / ``maximize`` re-optimize from the current basis, leaving
+    the optimal multipliers of the original rows in ``dual``.  ``stats``
+    counts the work done.
     """
 
-    def __init__(
-        self, rows: Sequence[Sequence], rhs: Sequence, basis: Sequence[int] | None = None
-    ) -> None:
+    def __init__(self, rows: Sequence[Sequence], rhs: Sequence) -> None:
         start = time.perf_counter()
         self.n = n = len(rows[0]) if rows else 0
         m = len(rows)
@@ -328,60 +313,20 @@ class ExactSimplex:
         if -1 in signs:
             A = _Matrix(A.ints * np.array(signs, dtype=A.ints.dtype)[:, None])
         self._A = A
-        self._b = [abs(b) for b in b_nums]
+        # [R | R b] of the all-artificial basis: [I | b]
+        R = np.zeros((m, m + 1), dtype=object)
+        R[range(m), range(m)] = 1
+        R[:, m] = [abs(b) for b in b_nums]
+        self._R = _narrow(R)
+        self._D = 1
+        self._basis = [n + i for i in range(m)]
         self.farkas: list | None = None
         self.dual: list | None = None
         self.stats = SimplexStats()
-        self._artificial_basis()
-        warm = basis is not None and self._warm_start(basis)
-        z = self._phase_one_row()
-        # after a warm start with every artificial at level 0, phase one is done
-        self.feasible = warm and z[-1] == 0 or self._phase_one(z)
+        self.feasible = self._phase_one(m)
         if self.feasible:
             self._eliminate_artificials()
         self.stats.phase_one_s = time.perf_counter() - start
-
-    # -- starting bases ------------------------------------------------------
-
-    def _artificial_basis(self) -> None:
-        """[R | R b] of the all-artificial basis: [I | b], with D = 1."""
-        m = len(self._b)
-        R = np.zeros((m, m + 1), dtype=object)
-        R[range(m), range(m)] = 1
-        R[:, m] = self._b
-        self._R = _narrow(R)
-        self._D = 1
-        self._basis = [self.n + i for i in range(m)]
-
-    def _warm_start(self, basis: Sequence[int]) -> bool:
-        """Pivot the hinted columns into the all-artificial basis, each on the
-        first row an artificial still holds where its entry is nonzero.
-
-        True if every column entered and the basic solution R b / D is
-        nonnegative.  Otherwise (a column dependent on those before it, or a
-        negative basic value) the solver is back at the all-artificial basis and the
-        hint is ignored, so it can never change an answer's correctness.
-        """
-        n = self.n
-        for col in basis:
-            if not 0 <= col < n:
-                raise ValueError(f"basis column {col} is not one of the {n} columns")
-            column = self._column(col)
-            free = [i for i, j in enumerate(self._basis) if j >= n and column[i]]
-            if not free:
-                break
-            self._pivot(free[0], col, column)
-            self.stats.phase_one_pivots += 1
-        else:
-            if not (self._R[:, -1] < 0).any():
-                return True
-        self._artificial_basis()
-        return False
-
-    def _phase_one_row(self) -> list[int]:
-        """[z_art | z_rhs] = c_B' [R | R b] for cost 1 on each artificial."""
-        artificial = [j >= self.n for j in self._basis]
-        return self._R[artificial].astype(object).sum(axis=0).tolist()
 
     # -- shared pivot machinery --------------------------------------------
 
@@ -464,14 +409,14 @@ class ExactSimplex:
 
     # -- phase one -----------------------------------------------------------
 
-    def _phase_one(self, z: list[int]) -> bool:
+    def _phase_one(self, m: int) -> bool:
         n = self.n
-        m = len(z) - 1
         # z / D = y' [A | I | b] of the scaled system for the running
-        # multipliers y = costs of the basis (1 on the artificials); only
-        # [z_art | z_rhs] is kept, and z_struct = z_art A is priced.  From
-        # the all-artificial basis it is the column sums.  z_rhs / D is the
+        # multipliers y = costs of the artificial basis; only [z_art | z_rhs]
+        # is kept, and z_struct = z_art A is priced.  It starts as the
+        # column sums: every artificial has cost 1.  z_rhs / D is the
         # residual infeasibility.
+        z = [1] * m + [sum(self._R[:, m].tolist())]
         while n:
             col, best = self._A.extreme(z[:m], largest=True)
             if best <= 0:

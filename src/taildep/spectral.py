@@ -389,7 +389,9 @@ class RigidityReport:
     support of x*, y'A_J >= 0 for the cuts inside it, and y'd = 0.  Any
     decomposition x then has sum of x_J over cuts outside the support
     <= y'A x = y'd = 0, so it lives on the support, whose cut vectors are
-    linearly independent (they are basic in the simplex that found x*).
+    linearly independent.  On a line the support is a set of prefix cuts,
+    and among the prefix cuts only cut k separates positions k and k + 1;
+    on any other metric the support is basic in the simplex that found x*.
     A non-rigid report carries two differing decompositions in
     ``witness_pair``, which is a proof of non-uniqueness, and its ranges
     are those observed under the probe's objectives; ``certificate`` is
@@ -404,31 +406,67 @@ class RigidityReport:
     certificate: tuple | None = None  # dual y proving uniqueness, when rigid
 
 
+def _line_dual(line: LineMetricCert) -> list[int]:
+    """The uniqueness dual of a line, one entry per pair i < j in
+    lexicographic order: y_ij = p - 2|a - b| for the line positions a, b of
+    i and j, plus 1 when |a - b| = 1 and the gap between them is 0.
+
+    This y is the sum over position triples a < c < b of e_ac + e_cb - e_ab,
+    plus e_k,k+1 for each zero gap k.  A triple's term pairs with a cut to 2
+    when the cut puts c on the other side from a and b, and to 0 otherwise;
+    a prefix cut never does that, and every other cut does it for some
+    triple.  So y pairs to 0 with each prefix cut of a nonzero gap (and so
+    with d, their weighted sum), to 1 with each zero-gap prefix cut and to
+    at least 2 with every other cut.
+    """
+    p, pos, gaps = line.p, line._positions, line.weights
+    y = []
+    for i in range(p):
+        for j in range(i + 1, p):
+            a, b = sorted((pos[i], pos[j]))
+            y.append(p - 2 * (b - a) + (b - a == 1 and gaps[a] == 0))
+    return y
+
+
+def _check_uniqueness(y: Sequence[Rat], rows: list, rhs: list, x_star: list) -> None:
+    """Check in integers that y proves x* the only decomposition
+    (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every cut J outside
+    the support of x*, >= 0 inside it.  Raises ``InternalError`` if not."""
+    from .realize import _pairings  # deferred: realize imports this module
+
+    ys, q = to_common_numerators(y)  # y = ys / q, q > 0
+    bs, _ = to_common_numerators(rhs)
+    if sum(a * b for a, b in zip(ys, bs)) != 0:
+        raise InternalError("uniqueness certificate: y'd != 0")
+    loads = _pairings(ys, rows).tolist()  # q * y'A_J
+    for j, (load, x) in enumerate(zip(loads, x_star)):
+        if load < (0 if x else q):
+            raise InternalError(f"uniqueness certificate fails on cut column {j}")
+
+
 def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityReport:
     """Decide whether d has exactly one cut decomposition, with a proof.
 
-    Phase one of the cut system gives a decomposition x* with support S,
+    When d is a line (``detect_line_metric``), no LP is solved: the
+    decomposition x* puts each gap's weight on its prefix cut, and the
+    certificate is the line's closed-form dual (``_line_dual``).  Otherwise
+    phase one of the cut system gives a decomposition x* with support S,
     which lies inside the simplex basis, so the cut vectors of S are
-    linearly independent.  When d is a line (``detect_line_metric``),
-    phase one starts from the basis of its prefix cuts with nonzero gap,
-    which already decompose d, so it only drives the artificials out (at
-    most one pivot per pair) instead of searching for a decomposition; any
-    other d starts from the all-artificial basis.  The start can change the
-    certificate, never the ranges or the verdict.  One warm-started LP
-    maximizes the total weight outside S: the decomposition is unique iff
-    that optimum is 0, and its dual is then the report's certificate,
-    checked here in integers.  A unique x* is the optimum of every
-    objective, so the report is what ``trials`` objectives would observe,
-    built without solving them.
+    linearly independent, and one warm-started LP maximizes the total
+    weight outside S: the decomposition is unique iff that optimum is 0,
+    and its dual is then the certificate.  Either certificate is checked
+    here in integers (``_check_uniqueness``).  A unique x* is the optimum
+    of every objective, so the report is what ``trials`` objectives would
+    observe, built without solving them.
 
-    Otherwise the cut system is re-solved under ``trials`` objectives,
-    alternating between single-cut min/max pairs (cycling through the
-    canonical cuts) and seeded random integer cost vectors, each warm-started
-    from the phase-one basis.  If those all return one decomposition, x* and
+    When it is not unique, the cut system is re-solved under ``trials``
+    objectives, alternating between single-cut min/max pairs (cycling
+    through the canonical cuts) and seeded random integer cost vectors, each
+    warm-started from the phase-one basis.  If those all return one decomposition, x* and
     the decider's optimum (which differ) are added, so a non-unique d never
     gets a rigid report.  Requires d to be decomposable at all.
     """
-    from .realize import _pairings, cut_system  # deferred: realize imports this module
+    from .realize import cut_system  # deferred: realize imports this module
 
     if trials < 1:
         raise ValueError("need at least one objective")
@@ -436,40 +474,30 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     if not rows:
         # p = 1: no pairs and no cuts; the empty decomposition is the only one
         return RigidityReport(d.p, (), True, None, 1, ())
-    from .lp import ExactSimplex
-
-    basis = None
+    n = len(cols)
     line = detect_line_metric(d)
     if isinstance(line, LineMetricCert):
-        # a line is the sum of its prefix cuts weighted by its gaps: start
-        # phase one from the cuts of the nonzero gaps.  The canonical cuts
-        # are the odd masks below the full set, ascending: cut c is column
-        # c >> 1.
-        basis, prefix = [], 0
+        # the canonical cuts are the odd masks below the full set,
+        # ascending: cut c is column c >> 1
+        x_star, prefix = [ZERO] * n, 0
         for comp, gap in zip(line.order, line.weights):
             prefix |= 1 << comp
-            if gap:
-                basis.append(canonical_cut(prefix, d.p) >> 1)
-    lp = ExactSimplex(rows, rhs, basis=basis)
-    if not lp.feasible:
-        raise NotInCutCone("semimetric admits no cut decomposition")
-    n = len(cols)
-    x_star = lp.witness()
-    outside = [0 if v else 1 for v in x_star]
-    decider = lp.copy()
-    excess, x_other = decider.maximize(outside)
-    if excess == 0:
-        # the certificate in integers: y = ys / q, q > 0
-        ys, q = to_common_numerators(decider.dual)
-        bs, _ = to_common_numerators(rhs)
-        if sum(a * b for a, b in zip(ys, bs)) != 0:
-            raise InternalError("uniqueness certificate: y'd != 0")
-        loads = _pairings(ys, rows).tolist()  # q * y'A_j
-        for j, (load, out) in enumerate(zip(loads, outside)):
-            if load < q * out:
-                raise InternalError(f"uniqueness certificate fails on cut column {j}")
-        ranges = tuple((cols[j], x_star[j], x_star[j]) for j in range(n))
-        return RigidityReport(d.p, ranges, True, None, trials, tuple(decider.dual))
+            x_star[canonical_cut(prefix, d.p) >> 1] = gap
+        y = [Rat(v) for v in _line_dual(line)]
+    else:
+        from .lp import ExactSimplex
+
+        lp = ExactSimplex(rows, rhs)
+        if not lp.feasible:
+            raise NotInCutCone("semimetric admits no cut decomposition")
+        x_star = lp.witness()
+        decider = lp.copy()
+        excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
+        y = decider.dual if excess == 0 else None
+    if y is not None:
+        _check_uniqueness(y, rows, rhs, x_star)
+        ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
+        return RigidityReport(d.p, ranges, True, None, trials, tuple(y))
 
     lo: list[Rat | None] = [None] * n
     hi: list[Rat | None] = [None] * n

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from taildep.errors import UnboundedObjective
 from taildep.instances import (
     k23_metric,
-    line_metric_from_weights,
     pair_matrix_from_beta,
     random_cut_metric,
     random_graph_metric,
@@ -565,74 +564,3 @@ def test_stats_count_the_work():
     twin.maximize([1] * lp.n)
     assert twin.stats.phase_two_pivots > 0 and twin.stats.phase_two_s > 0
     assert lp.stats.phase_two_pivots == 0 and lp.stats.phase_two_s == 0
-
-
-# ---------------------------------------------------------------------------
-# Starting from a given basis.
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "rows, rhs, basis",
-    [
-        ([[1, 1, 2], [1, 0, 1]], [3, 1], [0, 0]),  # a column twice
-        ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], [2, 1, 3], [0, 1, 2]),  # column 2 = 0 + 1
-        ([[1, 1, 2], [1, 0, 1]], [3, 1], [0, 1, 2]),  # more columns than rows
-        ([[1, -1]], [1], [1]),  # x2 alone is -1
-        ([[1, 1]], [-1], [0]),  # x1 alone is -1, and the system is infeasible
-        ([[1, 0, 1], [0, 1, 1]], [1, -1], [0, 1]),  # x2 = -1 after a feasible x1
-    ],
-)
-def test_failed_hints_fall_back_to_the_cold_start(monkeypatch, rows, rhs, basis):
-    log = _pivot_log(monkeypatch, ExactSimplex)
-    cold = ExactSimplex(rows, rhs)
-    cold_log = list(log)
-    log.clear()
-    warm = ExactSimplex(rows, rhs, basis=basis)
-    # the hint's pivots, then exactly the cold start's
-    assert 0 < len(log) - len(cold_log) <= len(basis)
-    assert log[len(log) - len(cold_log):] == cold_log
-    assert warm.feasible == cold.feasible
-    assert warm.farkas == cold.farkas
-    if cold.feasible:
-        assert warm.witness() == cold.witness()
-
-
-def _hint_cases():
-    for p in (3, 4, 5, 6):
-        rng = random.Random(p)
-        gaps = [rng.choice([0, 0, 1, 2, rat(5, 2)]) for _ in range(p - 1)]
-        order = rng.sample(range(p), p)
-        yield pytest.param(cut_system(line_metric_from_weights(gaps, order)), True, id=f"line-p{p}")
-        yield pytest.param(cut_system(random_cut_metric(p, rng)), False, id=f"cut-p{p}")
-        yield pytest.param(cut_system(random_graph_metric(p, rng)), False, id=f"graph-p{p}")
-    yield pytest.param(cut_system(k23_metric()), False, id="k23")
-    L = pair_matrix_from_beta(random_unit_margin_beta(4, random.Random(4)))
-    yield pytest.param(tdr_system(L), False, id="tdr-p4")
-    yield pytest.param(tdr_system(violate_triangle(L, random.Random(4))), False, id="twin-p4")
-
-
-@pytest.mark.parametrize("system, unique", list(_hint_cases()))
-def test_any_hint_gives_the_cold_verdict(system, unique):
-    # random hints, partial or not, in any order: the verdict never changes,
-    # every answer checks, and a unique decomposition is found again
-    _, rows, rhs = system
-    m, n = len(rows), len(rows[0])
-    cold = ExactSimplex(rows, rhs)
-    rng = random.Random(m * n)
-    for _ in range(12):
-        basis = rng.sample(range(n), rng.randint(0, min(m, n)))
-        warm = ExactSimplex(rows, rhs, basis=basis)
-        assert warm.feasible == cold.feasible
-        if cold.feasible:
-            assert witness_is_valid(rows, rhs, warm.witness())
-            if unique:
-                assert warm.witness() == cold.witness()
-        else:
-            assert farkas_is_valid(rows, rhs, warm.farkas)
-
-
-def test_hints_must_name_columns():
-    for basis in ([2], [-1]):
-        with pytest.raises(ValueError):
-            ExactSimplex([[1, 1]], [1], basis=basis)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from taildep import spectral
 from taildep.coeffs import lambda_from_beta, td_matrix
 from taildep.errors import InternalError, MalformedMatrix, NotInCutCone
 from taildep.instances import (
@@ -296,26 +297,8 @@ class TestUniquenessDecider:
             assert report.rigid_consistent
             assert fraction_certificate_holds(d, report)
 
-    def test_line_probe_starts_from_its_nonzero_gap_cuts(self, monkeypatch):
-        hints = []
-        init = ExactSimplex.__init__
-
-        def spy(self, rows, rhs, basis=None):
-            hints.append(basis)
-            init(self, rows, rhs, basis=basis)
-
-        monkeypatch.setattr(ExactSimplex, "__init__", spy)
-        d = line_metric_from_weights([2, 0, 3, 0, 1], [4, 0, 5, 2, 1, 3])
-        report = rigidity_probe(d, trials=20)
-        support = [j for j, (_, lo, _) in enumerate(report.ranges) if lo]
-        assert len(support) == 3 and sorted(hints[0]) == support
-        rigidity_probe(EQUILATERAL_P4, trials=20)
-        assert hints[-1] is None  # not a line: the cold start
-
-    def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
-        # regression guard by pivot count, not time: from the prefix cuts,
-        # phase one makes at most one pivot per row (m = 45); from the
-        # all-artificial basis it makes 366 on this metric
+    def test_line_probes_build_no_solver(self, monkeypatch):
+        # a line is proved rigid in closed form; any other metric takes the LP
         solvers = []
         init = ExactSimplex.__init__
 
@@ -328,8 +311,29 @@ class TestUniquenessDecider:
         weights, _ = random_line_instance(10, rng)
         d = line_metric_from_weights(weights, rng.sample(range(10), 10))
         assert rigidity_probe(d, trials=20).rigid_consistent
+        assert solvers == []
+        rigidity_probe(EQUILATERAL_P4, trials=20)
         assert len(solvers) == 1
-        assert 0 < solvers[0].stats.phase_one_pivots <= 45
+
+    def test_p14_line_is_rigid_with_its_gap_weights(self):
+        # past the LP's reach: every third gap zero, under a random relabelling
+        p = 14
+        rng = random.Random(14)
+        drawn, _ = random_line_instance(p, rng)
+        weights = [ZERO if k % 3 == 2 else w for k, w in enumerate(drawn)]
+        order = rng.sample(range(p), p)
+        d = line_metric_from_weights(weights, order)
+        expected, prefix = {}, 0
+        for comp, w in zip(order, weights):
+            prefix |= 1 << comp
+            if w:
+                expected[canonical_cut(prefix, p)] = w
+        report = rigidity_probe(d, trials=20)
+        assert report.rigid_consistent
+        assert [mask for mask, _, _ in report.ranges] == canonical_cuts(p)
+        for mask, lo, hi in report.ranges:
+            assert lo == hi == expected.get(mask, ZERO)
+        assert fraction_certificate_holds(d, report)
 
     def test_one_point_is_rigid_with_empty_certificate(self):
         report = rigidity_probe(SemiMetric.from_rows([[0]]), trials=3)
@@ -402,7 +406,11 @@ class TestUniquenessDecider:
         off = dataclasses.replace(report, certificate=(y[0] + 1, *y[1:]))
         assert not fraction_certificate_holds(line_metric, off)
 
-    def test_wrong_dual_raises_internal_error(self, line_metric, monkeypatch):
+    def test_wrong_dual_raises_internal_error(self, monkeypatch):
+        # rigid, not a line, and with a nonzero dual, so the LP proves it
+        d = random_cut_metric(4, random.Random(1))
+        assert isinstance(detect_line_metric(d), NotLine)
+        assert any(rigidity_probe(d, trials=20).certificate)
         maximize = ExactSimplex.maximize
 
         def flipped(self, costs):
@@ -411,6 +419,17 @@ class TestUniquenessDecider:
             return out
 
         monkeypatch.setattr(ExactSimplex, "maximize", flipped)
+        with pytest.raises(InternalError):
+            rigidity_probe(d, trials=20)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda y: [-v for v in y], lambda y: [y[0] + 1, *y[1:]]],
+        ids=["negated", "first-entry-off"],
+    )
+    def test_tampered_line_dual_raises_internal_error(self, line_metric, monkeypatch, tamper):
+        line_dual = spectral._line_dual
+        monkeypatch.setattr(spectral, "_line_dual", lambda line: tamper(line_dual(line)))
         with pytest.raises(InternalError):
             rigidity_probe(line_metric, trials=20)
 
