@@ -297,8 +297,36 @@ class TestUniquenessDecider:
             assert report.rigid_consistent
             assert fraction_certificate_holds(d, report)
 
-    def test_line_probes_build_no_solver(self, monkeypatch):
-        # a line is proved rigid in closed form; any other metric takes the LP
+    def test_line_probe_starts_from_its_nonzero_gap_cuts(self, monkeypatch):
+        # a line's decomposition is read off its nonzero-gap prefix cuts and
+        # proved in closed form; any other metric takes the LP from scratch
+        solvers = []
+        init = ExactSimplex.__init__
+
+        def spy(self, *args, **kwargs):
+            solvers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExactSimplex, "__init__", spy)
+        weights, order = [2, 0, 3, 0, 1], [4, 0, 5, 2, 1, 3]
+        d = line_metric_from_weights(weights, order)
+        report = rigidity_probe(d, trials=20)
+        expected, prefix = set(), 0
+        for comp, w in zip(order, weights):
+            prefix |= 1 << comp
+            if w:
+                expected.add(canonical_cut(prefix, d.p))
+        support = {mask for mask, lo, _ in report.ranges if lo}
+        assert len(support) == 3 and support == expected
+        assert report.rigid_consistent and solvers == []
+        assert fraction_certificate_holds(d, report)
+        rigidity_probe(EQUILATERAL_P4, trials=20)
+        assert len(solvers) == 1  # not a line: the cold start
+
+    def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
+        # regression guard by solver count, not time: the closed-form dual
+        # leaves no phase one to run, where the all-artificial basis made 366
+        # pivots on this metric
         solvers = []
         init = ExactSimplex.__init__
 
@@ -310,10 +338,10 @@ class TestUniquenessDecider:
         rng = random.Random(10)
         weights, _ = random_line_instance(10, rng)
         d = line_metric_from_weights(weights, rng.sample(range(10), 10))
-        assert rigidity_probe(d, trials=20).rigid_consistent
+        report = rigidity_probe(d, trials=20)
+        assert report.rigid_consistent
         assert solvers == []
-        rigidity_probe(EQUILATERAL_P4, trials=20)
-        assert len(solvers) == 1
+        assert fraction_certificate_holds(d, report)
 
     def test_p14_line_is_rigid_with_its_gap_weights(self):
         # past the LP's reach: every third gap zero, under a random relabelling
