@@ -45,7 +45,9 @@ rc = [c D | 0 | 0] + rc_art [A | I | b] (costs scaled to integers once), so
 only their artificial parts z_art, rc_art (and their right-hand-side
 entries) are kept and updated by the pivot formula.  Pricing is one exact
 vector-matrix product per pivot, z_art A or [rc_art, D] [A; c], whose
-first largest (smallest) entry enters.  A is stored once (``_Matrix``).
+first largest (smallest) entry enters.  A is stored once (``_Matrix``):
+the solver keeps the read-only int64 incidence that ``realize`` builds as
+it is, so a system exists once from its builder to its certificate check.
 The integer arithmetic runs in int64 when a bound shows it fits (for a
 product, max|y| times the largest column sum of |A| below 2**63), as in
 ``coeffs._store``, and in object arrays of Python ints otherwise, with two
@@ -102,13 +104,6 @@ from .rationals import Rat, ZERO, rat, to_common_numerators
 
 
 @dataclass
-class FeasibilityResult:
-    feasible: bool
-    x: list | None  # length-n witness when feasible
-    farkas: list | None  # length-m certificate when infeasible
-
-
-@dataclass
 class SimplexStats:
     """What one solver did: pivots per phase (phase one includes the
     pivots that drive artificials out), pivots whose leaving row had
@@ -154,20 +149,9 @@ class _Matrix:
         self.ints = ints
         self.bound = bound
 
-    @classmethod
-    def of(cls, rows: list[list[int]], n: int) -> "_Matrix":
-        try:
-            ints = np.array(rows, dtype=np.int64)
-        except OverflowError:  # an entry beyond int64
-            ints = np.array(rows, dtype=object)
-        return cls(ints.reshape(len(rows), n))
-
     def stacked(self, row: list[int]) -> "_Matrix":
-        """[M; row]."""
-        extra = _Matrix.of([row], len(row)).ints
-        if self.ints.dtype == extra.dtype == np.int64:
-            return _Matrix(np.vstack([self.ints, extra]))
-        return _Matrix(np.vstack([self.ints.astype(object), extra.astype(object)]))
+        """[M; row], int64 when both parts are."""
+        return _Matrix(np.vstack([self.ints, _narrow(np.array([row], dtype=object))]))
 
     def product(self, Y: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
         """Exact Y M[:, cols] for an integer Y (int64 or Python ints).
@@ -282,34 +266,40 @@ def _smallest(cands: list[int], column: list[int], entries: list[int]) -> list[i
 class ExactSimplex:
     """Equality-form revised simplex over exact rationals, on integers inside.
 
+    ``rows`` is A: a read-only int64 array is stored as it is, a writable
+    one is copied, and any other rectangular array or nested sequence (of
+    ints, Fractions, rational strings) is scaled to integers.  Ragged rows
+    or a wrong ``rhs`` length raise ``ValueError``.
+
     Construction runs phase one immediately, from the all-artificial basis.
     When feasible, the artificial variables are driven out of the basis
-    (redundant rows dropped) and
-    ``minimize`` / ``maximize`` re-optimize from the current basis, leaving
-    the optimal multipliers of the original rows in ``dual``.  ``stats``
-    counts the work done.
+    (redundant rows dropped) and ``minimize`` / ``maximize`` re-optimize
+    from the current basis, leaving the optimal multipliers of the original
+    rows in ``dual``.  ``stats`` counts the work done.
     """
 
     def __init__(self, rows: Sequence[Sequence], rhs: Sequence) -> None:
         start = time.perf_counter()
-        self.n = n = len(rows[0]) if rows else 0
-        m = len(rows)
+        A = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+        if A.ndim != 2:
+            if A.size:
+                raise ValueError("ragged constraint matrix")
+            A = A.reshape(0, 0)
+        m, self.n = A.shape
         if len(rhs) != m:
             raise ValueError("rhs length does not match row count")
-        flat = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("ragged constraint matrix")
-            flat.extend(row)
-        if all(type(v) is int for v in flat):  # the deciders' 0/1 systems
-            nums, self._scale_a = flat, 1
+        if A.dtype == np.int64:  # the deciders' 0/1 systems
+            self._scale_a = 1
+            if A.flags.writeable:
+                A = A.copy()  # kept read-only; the caller's array stays writable
         else:
-            nums, self._scale_a = to_common_numerators([_exact(v) for v in flat])
+            nums, self._scale_a = to_common_numerators([_exact(v) for v in A.ravel().tolist()])
+            A = _narrow(np.array(nums, dtype=object).reshape(A.shape))
         b_nums, self._scale_b = to_common_numerators([_exact(v) for v in rhs])
         # Original row order is preserved for certificate reporting; rows
         # with negative rhs are sign-flipped internally.
         self._signs = signs = [-1 if b < 0 else 1 for b in b_nums]
-        A = _Matrix.of([nums[i * n : (i + 1) * n] for i in range(m)], n)
+        A = _Matrix(A)
         if -1 in signs:
             A = _Matrix(A.ints * np.array(signs, dtype=A.ints.dtype)[:, None])
         self._A = A
@@ -319,7 +309,7 @@ class ExactSimplex:
         R[:, m] = [abs(b) for b in b_nums]
         self._R = _narrow(R)
         self._D = 1
-        self._basis = [n + i for i in range(m)]
+        self._basis = [self.n + i for i in range(m)]
         self.farkas: list | None = None
         self.dual: list | None = None
         self.stats = SimplexStats()
@@ -519,13 +509,3 @@ class ExactSimplex:
         value, x = self.minimize([-rat(v) for v in costs])
         self.dual = [-v for v in self.dual]
         return -value, x
-
-
-def solve_feasibility(rows: Sequence[Sequence], rhs: Sequence) -> FeasibilityResult:
-    """One-shot feasibility of {x >= 0 : A x = b} with witness or certificate."""
-    if not rows:
-        return FeasibilityResult(True, [], None)
-    lp = ExactSimplex(rows, rhs)
-    if lp.feasible:
-        return FeasibilityResult(True, lp.witness(), None)
-    return FeasibilityResult(False, None, lp.farkas)

@@ -98,46 +98,49 @@ def sdr_rows(p: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(p) for j in range(i + 1, p)]
 
 
-def _covers(masks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """TDR: which subsets contain both ends of the pair (i, j)."""
-    need = (1 << i) | (1 << j)
-    return masks & need == need
+def _covers(has_i: np.ndarray, has_j: np.ndarray) -> np.ndarray:
+    """TDR: a subset covers the pair (i, j) when it contains both ends."""
+    return has_i & has_j
 
 
-def _separates(masks: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """SDR: which cuts put the two ends of the pair (i, j) on different sides."""
-    return (masks >> i & 1) != (masks >> j & 1)
+def _separates(has_i: np.ndarray, has_j: np.ndarray) -> np.ndarray:
+    """SDR: a cut separates the pair (i, j) when it contains one end only."""
+    return has_i != has_j
 
 
 def _incidence(hits: callable, pairs: Sequence, masks: Sequence[int]) -> np.ndarray:
-    """0/1 int64 matrix, one row per pair and one column per mask: 1 where
-    ``hits`` (``_covers`` or ``_separates``) reports the mask on the pair."""
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2, 1)
-    return hits(np.array(masks, dtype=np.int64), ends[:, 0], ends[:, 1]).astype(np.int64)
+    """Read-only 0/1 int64 matrix, one row per pair (i, j) and one column
+    per mask: 1 where ``hits`` (``_covers`` or ``_separates``) reports the
+    mask on the pair, given boolean rows of which masks contain i and j."""
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    components = np.arange(int(ends.max(initial=-1)) + 1)[:, None]
+    has = (np.array(masks, dtype=np.int64) >> components & 1).astype(bool)
+    A = hits(has[ends[:, 0]], has[ends[:, 1]]).astype(np.int64)
+    A.flags.writeable = False
+    return A
 
 
-def _pairings(nums: Sequence[int], incidence) -> np.ndarray:
-    """nums' A for a 0/1 matrix A, exactly.
+def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
+    """nums' A for a 0/1 int64 matrix A (``_incidence``), exactly.
 
     int64 when sum(|nums|) fits (``_store``): no partial sum of a 0/1
     combination can exceed it.  Python ints otherwise.
     """
-    v = _store(nums)
-    return v @ np.asarray(incidence, dtype=v.dtype)
+    return _store(nums) @ incidence
 
 
-def tdr_system(L: TdMatrix) -> tuple[list[int], list[list[int]], list[Rat]]:
-    """Columns = all nonempty subsets; row (i, j) sums the columns covering {i, j}."""
+def tdr_system(L: TdMatrix) -> tuple[list[int], np.ndarray, list[Rat]]:
+    """Columns = all nonempty subsets; row (i, j) of A sums those covering {i, j}."""
     pairs = tdr_rows(L.p)
     cols = list(range(1, 1 << L.p))
-    return cols, _incidence(_covers, pairs, cols).tolist(), [L.lam[i][j] for i, j in pairs]
+    return cols, _incidence(_covers, pairs, cols), [L.lam[i][j] for i, j in pairs]
 
 
-def cut_system(d: SemiMetric) -> tuple[list[int], list[list[int]], list[Rat]]:
-    """Columns = canonical proper cuts; row (i, j) sums the cuts separating i, j."""
+def cut_system(d: SemiMetric) -> tuple[list[int], np.ndarray, list[Rat]]:
+    """Columns = canonical proper cuts; row (i, j) of A sums those separating i, j."""
     pairs = sdr_rows(d.p)
     cols = canonical_cuts(d.p)
-    return cols, _incidence(_separates, pairs, cols).tolist(), [d.d[i][j] for i, j in pairs]
+    return cols, _incidence(_separates, pairs, cols), [d.d[i][j] for i, j in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +153,8 @@ def decide_tdr(L: TdMatrix, *, max_p: int | None = None) -> FeasibilityOutcome:
     if not L.has_unit_diagonal():
         raise MalformedInput("TDR input must have unit diagonal")
     _guard(L.p, max_p)
-    cols, rows, rhs = tdr_system(L)
-    lp = ExactSimplex(rows, rhs)
+    cols, A, rhs = tdr_system(L)
+    lp = ExactSimplex(A, rhs)
     pairs = tuple(tdr_rows(L.p))
     if not lp.feasible:
         return FeasibilityOutcome(
@@ -215,9 +218,9 @@ def decide_sdr(
 ) -> FeasibilityOutcome:
     """Decide cut-cone membership of a semimetric; materialize on success."""
     _guard(d.p, max_p)
-    cols, rows, rhs = cut_system(d)
+    cols, A, rhs = cut_system(d)
     pairs = tuple(sdr_rows(d.p))
-    if not rows:  # p == 1: nothing to decide
+    if d.p == 1:  # no pairs and no cuts: nothing to decide
         model = TmModel.from_entries(1, {})
         return FeasibilityOutcome(
             "sdr",
@@ -229,7 +232,7 @@ def decide_sdr(
             cuts=CutDecomposition(1, (), ZERO),
             scale=ZERO,
         )
-    lp = ExactSimplex(rows, rhs)
+    lp = ExactSimplex(A, rhs)
     if not lp.feasible:
         return FeasibilityOutcome(
             "sdr", Status.INFEASIBLE, d.p, pairs, farkas=tuple(lp.farkas)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .coeffs import TdMatrix, spectral_distance_entry
 from .errors import InternalError, MalformedMatrix, NotInCutCone
 from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
@@ -384,9 +386,10 @@ class RigidityReport:
 
     A rigid report (unique decomposition) is a *proof*: its ranges are the
     one decomposition x*, and ``certificate`` holds multipliers y, one per
-    pair (i, j), i < j, in lexicographic order (the rows of
-    ``realize.cut_system``), with y'A_J >= 1 for every cut J outside the
-    support of x*, y'A_J >= 0 for the cuts inside it, and y'd = 0.  Any
+    pair (i, j), i < j, in lexicographic order (the rows of the int64
+    incidence A that ``realize.cut_system`` returns), with y'A_J >= 1 for
+    every cut J outside the support of x*, y'A_J >= 0 for the cuts inside
+    it, and y'd = 0 (checked on that same A by ``_check_uniqueness``).  Any
     decomposition x then has sum of x_J over cuts outside the support
     <= y'A x = y'd = 0, so it lives on the support, whose cut vectors are
     linearly independent.  On a line the support is a set of prefix cuts,
@@ -428,20 +431,22 @@ def _line_dual(line: LineMetricCert) -> list[int]:
     return y
 
 
-def _check_uniqueness(y: Sequence[Rat], rows: list, rhs: list, x_star: list) -> None:
+def _check_uniqueness(y: Sequence[Rat], A: np.ndarray, rhs: list, x_star: list) -> None:
     """Check in integers that y proves x* the only decomposition
     (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every cut J outside
-    the support of x*, >= 0 inside it.  Raises ``InternalError`` if not."""
+    the support of x*, >= 0 inside it, pairing y with the very array A that
+    ``realize.cut_system`` returned.  Raises ``InternalError`` if not."""
     from .realize import _pairings  # deferred: realize imports this module
 
     ys, q = to_common_numerators(y)  # y = ys / q, q > 0
     bs, _ = to_common_numerators(rhs)
     if sum(a * b for a, b in zip(ys, bs)) != 0:
         raise InternalError("uniqueness certificate: y'd != 0")
-    loads = _pairings(ys, rows).tolist()  # q * y'A_J
-    for j, (load, x) in enumerate(zip(loads, x_star)):
-        if load < (0 if x else q):
-            raise InternalError(f"uniqueness certificate fails on cut column {j}")
+    loads = _pairings(ys, A)  # q * y'A_J
+    floors = np.where(np.array(x_star, dtype=bool), 0, q)
+    short = np.flatnonzero(loads < floors)
+    if short.size:
+        raise InternalError(f"uniqueness certificate fails on cut column {short[0]}")
 
 
 def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityReport:
@@ -470,10 +475,10 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
 
     if trials < 1:
         raise ValueError("need at least one objective")
-    cols, rows, rhs = cut_system(d)
-    if not rows:
-        # p = 1: no pairs and no cuts; the empty decomposition is the only one
+    if d.p == 1:
+        # no pairs and no cuts; the empty decomposition is the only one
         return RigidityReport(d.p, (), True, None, 1, ())
+    cols, A, rhs = cut_system(d)
     n = len(cols)
     line = detect_line_metric(d)
     if isinstance(line, LineMetricCert):
@@ -487,7 +492,7 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     else:
         from .lp import ExactSimplex
 
-        lp = ExactSimplex(rows, rhs)
+        lp = ExactSimplex(A, rhs)
         if not lp.feasible:
             raise NotInCutCone("semimetric admits no cut decomposition")
         x_star = lp.witness()
@@ -495,7 +500,7 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
         excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
         y = decider.dual if excess == 0 else None
     if y is not None:
-        _check_uniqueness(y, rows, rhs, x_star)
+        _check_uniqueness(y, A, rhs, x_star)
         ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
         return RigidityReport(d.p, ranges, True, None, trials, tuple(y))
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .coeffs import (
     Kind,
     SubsetFn,
@@ -101,14 +103,21 @@ class TmModel:
     def thetas(self) -> SubsetFn:
         return theta_from_beta(self.beta)
 
+    @cached_property
+    def _support_numerators(self) -> tuple[list[int], list[int], int]:
+        """(masks, numerators, den) of the support, over beta's denominator."""
+        nums, den = self.beta._numerators()
+        where = np.flatnonzero(nums)
+        return (where + 1).tolist(), nums[where].tolist(), den
+
     def theta_of(self, mask: int) -> Rat:
-        """theta(K) for one subset, via the sparse support (no full transform)."""
-        if mask == 0:
-            return ZERO
-        return sum((v for m, v in self.support() if m & mask), ZERO)
+        """theta(K) for one subset: an integer sum over the atoms meeting K."""
+        masks, nums, den = self._support_numerators
+        return rat(sum(n for m, n in zip(masks, nums) if m & mask), den)
 
     def lambda_of(self, mask: int) -> Rat:
-        return sum((v for m, v in self.support() if m & mask == mask), ZERO)
+        masks, nums, den = self._support_numerators
+        return rat(sum(n for m, n in zip(masks, nums) if m & mask == mask), den)
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,7 @@ def reference_rigidity_probe(d, trials: int = 20, seed: int = 0) -> RigidityRepo
     if trials < 1:
         raise ValueError("need at least one objective")
     cols, rows, rhs = cut_system(d)
-    lp = ExactSimplex(rows, rhs) if rows else None
+    lp = ExactSimplex(rows, rhs) if len(rows) else None
     if lp is not None and not lp.feasible:
         raise ValueError("semimetric admits no cut decomposition")
     n = len(cols)
@@ -242,7 +242,7 @@ def exact_weight_ranges(d) -> tuple:
     """((canonical mask, min, max), ...) of every cut weight over all
     decompositions of d, by one minimization and one maximization per cut."""
     cols, rows, rhs = cut_system(d)
-    if not rows:
+    if not len(rows):
         return ()
     lp = ExactSimplex(rows, rhs)
     if not lp.feasible:
@@ -298,6 +298,8 @@ class DenseSimplex:
     """
 
     def __init__(self, rows, rhs) -> None:
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()  # Python ints: the tableau outgrows int64
         self.n = n = len(rows[0]) if rows else 0
         m = len(rows)
         if len(rhs) != m:

@@ -15,7 +15,7 @@ from taildep.instances import (
     random_unit_margin_beta,
     violate_triangle,
 )
-from taildep.lp import ExactSimplex, _Matrix, _bareiss, solve_feasibility
+from taildep.lp import ExactSimplex, _Matrix, _bareiss, _narrow
 from taildep.rationals import ZERO, rat
 from taildep.realize import cut_system, tdr_system
 
@@ -23,7 +23,7 @@ from oracles import DenseSimplex
 
 
 def farkas_is_valid(rows, rhs, y):
-    n = len(rows[0]) if rows else 0
+    n = len(rows[0]) if len(rows) else 0
     for j in range(n):
         if sum((y[i] * rows[i][j] for i in range(len(rows))), ZERO) > 0:
             return False
@@ -40,45 +40,45 @@ def witness_is_valid(rows, rhs, x):
 
 
 def test_simple_feasible():
-    res = solve_feasibility([[1, 1], [1, 0]], [3, 1])
-    assert res.feasible
-    assert res.x == [1, 2]
+    lp = ExactSimplex([[1, 1], [1, 0]], [3, 1])
+    assert lp.feasible
+    assert lp.witness() == [1, 2]
 
 
 def test_simple_infeasible_with_certificate():
     rows = [[1, 1], [1, 1]]
     rhs = [1, 2]
-    res = solve_feasibility(rows, rhs)
-    assert not res.feasible
-    assert farkas_is_valid(rows, [rat(v) for v in rhs], res.farkas)
+    lp = ExactSimplex(rows, rhs)
+    assert not lp.feasible
+    assert farkas_is_valid(rows, [rat(v) for v in rhs], lp.farkas)
 
 
 def test_negative_rhs_handled_by_sign_flip():
     rows = [[-1, 0], [0, 1]]
     rhs = [-2, 1]
-    res = solve_feasibility(rows, rhs)
-    assert res.feasible
-    assert witness_is_valid([[rat(v) for v in r] for r in rows], rhs, res.x)
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible
+    assert witness_is_valid([[rat(v) for v in r] for r in rows], rhs, lp.witness())
 
 
 def test_redundant_rows_are_dropped():
     rows = [[1, 1], [2, 2], [1, 0]]
     rhs = [2, 4, 1]
-    res = solve_feasibility(rows, rhs)
-    assert res.feasible
-    assert witness_is_valid([[rat(v) for v in r] for r in rows], rhs, res.x)
+    lp = ExactSimplex(rows, rhs)
+    assert lp.feasible
+    assert witness_is_valid([[rat(v) for v in r] for r in rows], rhs, lp.witness())
 
 
 def test_zero_system():
-    res = solve_feasibility([[0, 0]], [0])
-    assert res.feasible and res.x == [0, 0]
-    res2 = solve_feasibility([[0, 0]], [1])
-    assert not res2.feasible
+    lp = ExactSimplex([[0, 0]], [0])
+    assert lp.feasible and lp.witness() == [0, 0]
+    lp2 = ExactSimplex([[0, 0]], [1])
+    assert not lp2.feasible
 
 
 def test_empty_system():
-    res = solve_feasibility([], [])
-    assert res.feasible and res.x == []
+    lp = ExactSimplex([], [])
+    assert lp.feasible and lp.witness() == []
 
 
 def test_randomized_feasible_and_infeasible(rng):
@@ -90,16 +90,16 @@ def test_randomized_feasible_and_infeasible(rng):
             # plant a solution
             x0 = [rat(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n)]
             rhs = [sum((a * v for a, v in zip(row, x0)), ZERO) for row in rows]
-            res = solve_feasibility(rows, rhs)
-            assert res.feasible
-            assert witness_is_valid(rows, rhs, res.x)
+            lp = ExactSimplex(rows, rhs)
+            assert lp.feasible
+            assert witness_is_valid(rows, rhs, lp.witness())
         else:
             rhs = [rat(rng.randint(-6, 6)) for _ in range(m)]
-            res = solve_feasibility(rows, rhs)
-            if res.feasible:
-                assert witness_is_valid(rows, rhs, res.x)
+            lp = ExactSimplex(rows, rhs)
+            if lp.feasible:
+                assert witness_is_valid(rows, rhs, lp.witness())
             else:
-                assert farkas_is_valid(rows, rhs, res.farkas)
+                assert farkas_is_valid(rows, rhs, lp.farkas)
 
 
 def test_optimize_bounded_polytope():
@@ -134,9 +134,9 @@ def test_degenerate_cycling_guard():
         for i in range(4):
             rows.append([rat(rng.randint(0, 2)) for _ in range(n)])
             rhs.append(ZERO)  # fully degenerate right-hand side
-        res = solve_feasibility(rows, rhs)
-        assert res.feasible  # x = 0 always works
-        assert all(v == 0 or v >= 0 for v in res.x)
+        lp = ExactSimplex(rows, rhs)
+        assert lp.feasible  # x = 0 always works
+        assert all(v == 0 or v >= 0 for v in lp.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,51 @@ def test_tdr_unit_margin_witness_pinned():
     x = lp.witness()
     assert {c: v for c, v in zip(cols, x) if v} == {c: rat(v) for c, v in expected.items()}
     assert witness_is_valid(rows, rhs, x)
+
+
+def _array_cases():
+    L = pair_matrix_from_beta(random_unit_margin_beta(5, random.Random(5)))
+    yield pytest.param(lambda: tdr_system(L), True, id="tdr-feasible")
+    yield pytest.param(_twin_tdr_system, False, id="tdr-infeasible")
+    yield pytest.param(lambda: cut_system(random_cut_metric(6, random.Random(6))), True, id="sdr-feasible")
+    yield pytest.param(lambda: cut_system(k23_metric()), False, id="sdr-infeasible")
+
+
+@pytest.mark.parametrize("system, feasible", list(_array_cases()))
+def test_array_and_list_inputs_make_the_same_run(system, feasible):
+    # the builders' read-only array is kept as it is; its list copy, read
+    # the general way, must give the same answers and pivot counts
+    _, A, rhs = system()
+    runs = []
+    for rows in (A, A.tolist()):
+        lp = ExactSimplex(rows, rhs)
+        run = [lp.feasible, lp.farkas]
+        if lp.feasible:
+            run += [lp.witness(), lp.maximize([1] * lp.n), lp.dual]
+        run += [getattr(lp.stats, name) for name in _COUNTERS]
+        runs.append(run)
+    assert runs[0][0] is feasible
+    assert runs[0] == runs[1]
+    assert ExactSimplex(A, rhs)._A.ints is A
+    writable = A.copy()
+    lp = ExactSimplex(writable, rhs)
+    assert lp._A.ints is not writable and writable.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, message",
+    [
+        ([[1, 2], [3]], [1, 1], "ragged"),
+        ([[rat(1, 2), 1], [1]], [1, 1], "ragged"),
+        ([[1, 2], 3], [1, 1], "ragged"),
+        ([[1, 2], [3, 4]], [1], "rhs length"),
+        (np.ones((2, 3), dtype=np.int64), [1, 1, 1], "rhs length"),
+        ([], [1], "rhs length"),
+    ],
+)
+def test_malformed_systems_raise_value_error(rows, rhs, message):
+    with pytest.raises(ValueError, match=message):
+        ExactSimplex(rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +519,15 @@ def test_extreme_magnitudes_match_dense_tableau(monkeypatch, rows, rhs, costs):
     _assert_same_run(monkeypatch, rows, rhs, [("minimize", costs), ("maximize", costs)])
 
 
+def _matrix(rows):
+    """rows as a ``_Matrix``, int64 where every entry fits."""
+    return _Matrix(_narrow(np.array(rows, dtype=object)))
+
+
 def test_matrix_products_are_exact_past_int64():
     rng = random.Random(7)
     rows = [[rng.randint(-(1 << 20), 1 << 20) for _ in range(9)] for _ in range(6)]
-    M = _Matrix.of(rows, 9)
+    M = _matrix(rows)
     assert M.ints.dtype == np.int64
     assert M.bound == max(sum(abs(row[j]) for row in rows) for j in range(9))
     for bits in (10, 30, 40, 62, 64, 200):
@@ -494,16 +544,16 @@ def test_matrix_products_are_exact_past_int64():
                 best = pick(values)
                 assert M.extreme(y, largest) == (values.index(best), best)
     # values one apart, past int64
-    unit = _Matrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    unit = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for y in ([(1 << 70) + 1, 1 << 70, 1 << 70], [-(1 << 70), 3 - (1 << 70), 2 - (1 << 70)]):
         assert unit.extreme(y, largest=True) == (y.index(max(y)), max(y))
         assert unit.extreme(y, largest=False) == (y.index(min(y)), min(y))
-    wide = _Matrix.of([[1 << 40, 1], [3, -(1 << 70)]], 2)
+    wide = _matrix([[1 << 40, 1], [3, -(1 << 70)]])
     assert wide.ints.dtype == object and wide.bound is None
     assert wide.product(np.array([[2, -1]])).tolist() == [[(1 << 41) - 3, 2 + (1 << 70)]]
     assert wide.extreme([2, -1], largest=False) == (0, (1 << 41) - 3)
     # entries in int64 whose column sums might not be
-    edge = _Matrix.of([[1 << 62, 1], [1 << 62, 1]], 2)
+    edge = _matrix([[1 << 62, 1], [1 << 62, 1]])
     assert edge.bound is None
     assert edge.product(np.array([[1, 1]])).tolist() == [[1 << 63, 2]]
     stacked = M.stacked([1 << 70] * 9)
@@ -541,7 +591,7 @@ def test_bareiss_updates_are_exact_in_every_tier():
 )
 def test_extreme_finds_the_first_extreme_entry(rows, data):
     # few distinct values, in int64 and past it: ties
-    M = _Matrix.of(rows, 5)
+    M = _matrix(rows)
     y = data.draw(st.lists(
         st.sampled_from([0, 1, -1, 1 << 60, -(1 << 60), (1 << 60) + 1, 1 << 120, -(1 << 121)]),
         min_size=len(rows), max_size=len(rows),

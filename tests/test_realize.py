@@ -1,5 +1,6 @@
 """Realizability deciders: ground truth both ways, certificates, reduction."""
 
+import numpy as np
 import pytest
 
 from taildep.cli import main
@@ -26,14 +27,37 @@ from taildep.rationals import rat
 from taildep.realize import (
     DEFAULT_MAX_P,
     Status,
+    cut_system,
     decide_sdr,
     decide_tdr,
     normalize_sdr_to_tdr,
     sdr_auto_scale,
+    tdr_system,
     verify_certificate,
 )
 from taildep.spectral import SemiMetric, cut_decomposition
 from taildep.tm import TmModel, model_from_bernoulli
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_systems_are_read_only_int64_incidences(p):
+    # each builder hands out one read-only int64 array, equal entry for
+    # entry to the incidence written out here by bit tests
+    L = TdMatrix(p, ((rat(1),) * p,) * p)
+    d = SemiMetric.from_rows([[0] * p] * p)
+    tdr_pairs = [(i, j) for i in range(p) for j in range(i, p)]
+    sdr_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    subsets = list(range(1, 1 << p))
+    cuts = [J for J in subsets[:-1] if J & 1]
+    for (cols, A, rhs), pairs, masks, hit in (
+        (tdr_system(L), tdr_pairs, subsets, lambda J, i, j: J >> i & 1 and J >> j & 1),
+        (cut_system(d), sdr_pairs, cuts, lambda J, i, j: J >> i & 1 != J >> j & 1),
+    ):
+        assert isinstance(A, np.ndarray) and A.dtype == np.int64
+        assert not A.flags.writeable
+        assert cols == masks and len(rhs) == len(pairs)
+        assert A.shape == (len(pairs), len(masks))
+        assert A.tolist() == [[int(bool(hit(J, i, j))) for J in masks] for i, j in pairs]
 
 
 class TestDecideTdr:

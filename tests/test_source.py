@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "taildep"
@@ -17,3 +18,31 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _names(node):
+    """Every name the subtree of ``node`` refers to: bare names, attribute
+    names and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_helper_is_used():
+    # no helpers that nothing calls: each private module-level function or
+    # class is referenced in the package somewhere besides its own body
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    used = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and used[node.name] == Counter(_names(node))[node.name]
+    ]
+    assert unused == []

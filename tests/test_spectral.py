@@ -323,6 +323,34 @@ class TestUniquenessDecider:
         rigidity_probe(EQUILATERAL_P4, trials=20)
         assert len(solvers) == 1  # not a line: the cold start
 
+    def test_uniqueness_check_pairs_the_cut_system_array(self, monkeypatch):
+        # one incidence from builder to check: _check_uniqueness pairs the
+        # very array cut_system returned, for a line's closed-form dual and
+        # for an LP dual
+        from taildep import realize
+
+        built, paired = [], []
+        cut_system, pairings = realize.cut_system, realize._pairings
+
+        def build(d):
+            out = cut_system(d)
+            built.append(out[1])
+            return out
+
+        def pair(nums, incidence):
+            paired.append(incidence)
+            return pairings(nums, incidence)
+
+        monkeypatch.setattr(realize, "cut_system", build)
+        monkeypatch.setattr(realize, "_pairings", pair)
+        line = line_metric_from_weights([2, 0, 3, 1], [3, 0, 4, 2, 1])
+        cuts = random_cut_metric(5, random.Random(0), n_cuts=3)
+        assert isinstance(detect_line_metric(cuts), NotLine)
+        for d in (line, cuts):
+            assert rigidity_probe(d).rigid_consistent
+        assert len(built) == len(paired) == 2
+        assert all(a is b for a, b in zip(paired, built))
+
     def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
         # regression guard by solver count, not time: the closed-form dual
         # leaves no phase one to run, where the all-artificial basis made 366

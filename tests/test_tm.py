@@ -1,6 +1,8 @@
 """Model synthesis, exact laws, exceedance sets, and the Bernoulli bridge."""
 
 import math
+import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -36,6 +38,37 @@ from taildep.tm import (
 )
 
 from oracles import brute_bernoulli_moment, reference_joint_exceedance
+
+
+# numerators over the common denominator 15 * 2**70 leave int64
+_WIDE_ATOMS = {1: rat(1 << 80, 3), 5: rat(7, 1 << 70), 7: rat((1 << 90) + 1, 5)}
+
+
+def _sums_cases():
+    rng = random.Random(31)
+    for p in range(1, 7):
+        yield pytest.param(TmModel(p, random_beta(p, rng)), id=f"random-p{p}")
+    yield pytest.param(TmModel.from_entries(1, {1: rat(5, 3)}), id="p1")
+    yield pytest.param(TmModel.from_entries(1, {}), id="p1-degenerate")
+    yield pytest.param(TmModel.from_entries(4, {}), id="degenerate")
+    yield pytest.param(TmModel.from_entries(3, _WIDE_ATOMS), id="past-int64")
+
+
+@pytest.mark.parametrize("model", list(_sums_cases()))
+def test_lambda_and_theta_of_equal_fraction_support_sums(model):
+    # the integer sums over beta's denominator against plain Fraction sums
+    # of the weights on the atoms containing (lambda) or meeting (theta) K
+    weights = [(m, Fraction(v)) for m, v in model.beta.entries() if v]
+    for K in range(1 << model.p):
+        lam = model.lambda_of(K)
+        theta = model.theta_of(K)
+        assert lam == sum((v for m, v in weights if m & K == K), Fraction(0))
+        assert theta == sum((v for m, v in weights if m & K), Fraction(0))
+        assert type(lam.numerator) is int and type(theta.numerator) is int
+
+
+def test_wide_atoms_hold_numerators_past_int64():
+    assert TmModel.from_entries(3, _WIDE_ATOMS).beta._numerators()[0].dtype == object
 
 
 class TestSynthesize:
