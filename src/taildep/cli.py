@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import io as tio
@@ -315,6 +316,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taildep",

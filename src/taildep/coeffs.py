@@ -86,21 +86,15 @@ def _store(nums) -> np.ndarray:
     return arr
 
 
-def _numerators_of(values: Sequence[RatLike]) -> tuple[np.ndarray, int]:
-    nums, den = to_common_numerators(values)
-    return _store(nums), den
-
-
-def _init(fn: "SubsetFn", p: int, kind: Kind, values, nums, den) -> None:
-    """Fill a SubsetFn's slots; a BETA system must have no negative numerator."""
-    if kind is Kind.BETA:
-        if nums is None:
-            nums, den = _numerators_of(values)
-        if nums.min() < 0:
-            bad = (np.flatnonzero(nums < 0)[:8] + 1).tolist()
-            raise InvalidBeta(
-                "negative beta entries at subsets " + ", ".join(set_str(m) for m in bad)
-            )
+def _init(fn: "SubsetFn", p: int, kind: Kind, nums: np.ndarray, den: int, values=None) -> None:
+    """Fill a SubsetFn's slots: numerators as `_store` keeps them, over
+    ``den`` > 0, and the rationals only when the caller passed them in; a
+    BETA system must have no negative numerator."""
+    if kind is Kind.BETA and nums.min() < 0:
+        bad = (np.flatnonzero(nums < 0)[:8] + 1).tolist()
+        raise InvalidBeta(
+            "negative beta entries at subsets " + ", ".join(set_str(m) for m in bad)
+        )
     object.__setattr__(fn, "p", p)
     object.__setattr__(fn, "kind", kind)
     object.__setattr__(fn, "_values", values)
@@ -117,17 +111,17 @@ class SubsetFn:
     nonnegativity at construction, kind RAW carries arbitrary signs
     (e.g. a failed inversion).
 
-    Instances are immutable.  Alongside (or instead of) the rationals an
-    instance keeps its values as integer numerators over one common
-    denominator ``den`` > 0, the form the lattice transforms compute in: one
-    read-only numpy array, ``int64`` when the sum of the absolute
-    numerators fits in int64 (so every transform of it is exact in machine
-    adds) and ``object`` (Python ints) otherwise.  A transform's result has
-    its input's denominator, so it only wraps the array its butterfly
-    produced; its rationals are built from ``nums.tolist()`` when ``values``
-    is first read, so a chain such as beta -> lambda -> beta builds none for
-    the middle system.  Two instances holding numerators over the same
-    denominator compare their numerators.
+    Instances are immutable.  Every instance stores its values in one form:
+    integer numerators over one common denominator ``den`` > 0, the form the
+    lattice transforms compute in, as one read-only numpy array, ``int64``
+    when the sum of the absolute numerators fits in int64 (so every
+    transform of it is exact in machine adds) and ``object`` (Python ints)
+    otherwise.  ``values`` is a cache derived from them: it is built on
+    first read, and kept from construction only when the caller passed
+    rationals in.  Item reads, ``support()`` and comparisons of instances
+    over the same denominator build no rationals beyond the ones they
+    return, so a chain such as beta -> lambda -> beta builds none for the
+    middle system.
     """
 
     __slots__ = ("p", "kind", "_values", "_nums", "_den")
@@ -137,17 +131,15 @@ class SubsetFn:
         n = (1 << p) - 1
         if len(values) != n:
             raise ValueError(f"expected {n} values for p={p}, got {len(values)}")
-        # BETA's sign check reads the integer numerators, which every
-        # transform of this system needs next
-        _init(self, p, kind, values, None, None)
+        nums, den = to_common_numerators(values)
+        _init(self, p, kind, _store(nums), den, values)
 
     @classmethod
     def _from_numerators(cls, p: int, nums, den: int, kind: Kind) -> "SubsetFn":
         """Wrap 2**p - 1 integer numerators over ``den`` > 0 (a list, or a
-        fresh array that nothing else writes); the rationals are built on
-        first read of ``values``."""
+        fresh array that nothing else writes)."""
         fn = object.__new__(cls)
-        _init(fn, p, kind, None, _store(nums), den)
+        _init(fn, p, kind, _store(nums), den)
         return fn
 
     @property
@@ -160,10 +152,6 @@ class SubsetFn:
     def _numerators(self) -> tuple[np.ndarray, int]:
         """(read-only array of numerators over a common denominator, that
         denominator)."""
-        if self._nums is None:
-            nums, den = _numerators_of(self._values)
-            object.__setattr__(self, "_nums", nums)
-            object.__setattr__(self, "_den", den)
         return self._nums, self._den
 
     def __setattr__(self, name, value):
@@ -177,7 +165,7 @@ class SubsetFn:
             return NotImplemented
         if self.p != other.p or self.kind is not other.kind:
             return False
-        if self._nums is not None and other._nums is not None and self._den == other._den:
+        if self._den == other._den:
             # n/d == m/d iff n == m: no rationals needed
             return np.array_equal(self._nums, other._nums)
         return self.values == other.values
@@ -202,58 +190,58 @@ class SubsetFn:
     def from_entries(cls, p: int, entries: Mapping[int, RatLike], kind: Kind) -> "SubsetFn":
         """Build from a sparse {mask: value} mapping; missing subsets are 0."""
         check_dimension(p)
-        vals = [ZERO] * ((1 << p) - 1)
-        for mask, v in entries.items():
+        for mask in entries:
             if not 1 <= mask < (1 << p):
                 raise ValueError(f"subset mask {mask} out of range for p={p}")
-            vals[mask - 1] = rat(v)
-        return cls(p, tuple(vals), kind)
+        nums, den = to_common_numerators([rat(v) for v in entries.values()])
+        full = [0] * ((1 << p) - 1)
+        for mask, num in zip(entries, nums):
+            full[mask - 1] = num
+        return cls._from_numerators(p, full, den, kind)
 
     @classmethod
     def zeros(cls, p: int, kind: Kind) -> "SubsetFn":
         check_dimension(p)
-        return cls(p, ((ZERO,) * ((1 << p) - 1)), kind)
+        return cls._from_numerators(p, np.zeros((1 << p) - 1, dtype=np.int64), 1, kind)
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, mask: int):
         if not 1 <= mask < (1 << self.p):
             raise KeyError(f"subset mask {mask} out of range for p={self.p}")
-        if self._values is None:
-            # one numerator, not all 2**p - 1 rationals
-            return from_common_numerators([self._nums.item(mask - 1)], self._den)[0]
-        return self._values[mask - 1]
+        # one numerator, not all 2**p - 1 rationals
+        return from_common_numerators([self._nums.item(mask - 1)], self._den)[0]
 
     def entries(self) -> Iterator[tuple[int, Rat]]:
         for m, v in enumerate(self.values, start=1):
             yield m, v
 
     def support(self) -> tuple[tuple[int, Rat], ...]:
-        values = self.values
-        masks = np.flatnonzero(self._numerators()[0]).tolist()
-        return tuple((m + 1, values[m]) for m in masks)
+        """Nonzero values as ((mask, value), ...); builds a rational only
+        for each nonzero entry."""
+        where = np.flatnonzero(self._nums)
+        rats = from_common_numerators(self._nums[where].tolist(), self._den)
+        return tuple(zip((where + 1).tolist(), rats))
 
     def total(self) -> Rat:
-        nums, den = self._numerators()
-        return rat(int(nums.sum()), den)
+        return rat(int(self._nums.sum()), self._den)
 
     def negative_masks(self) -> tuple[int, ...]:
-        return tuple((np.flatnonzero(self._numerators()[0] < 0) + 1).tolist())
+        return tuple((np.flatnonzero(self._nums < 0) + 1).tolist())
 
     def with_kind(self, kind: Kind) -> "SubsetFn":
         fn = object.__new__(SubsetFn)
-        _init(fn, self.p, kind, self._values, self._nums, self._den)
+        _init(fn, self.p, kind, self._nums, self._den)
         return fn
 
     def scaled(self, factor: RatLike) -> "SubsetFn":
         """(a/b) * self as numerators * a over denominator * b (b > 0)."""
         c = rat(factor)
         a, b = int(c.numerator), int(c.denominator)
-        nums, den = self._numerators()
         # Python-int products cannot overflow; _store narrows them back to
         # int64 where they fit
         return SubsetFn._from_numerators(
-            self.p, nums.astype(object) * a, den * b, self.kind
+            self.p, self._nums.astype(object) * a, self._den * b, self.kind
         )
 
 
@@ -280,8 +268,9 @@ def linear_combination(
 #
 # All four primitive transforms are addition-only butterflies over the full
 # subset lattice (length 2**p, index 0 = empty set), so they preserve any
-# common denominator.  A system's values therefore stay integer numerators
-# over one denominator from the first transform to the answer: each
+# common denominator.  Integer numerators over one denominator are the only
+# form a SubsetFn stores, so a system stays in it from the first transform
+# to the answer, and no transform reads or builds a rational: each
 # transform copies its input's numerator array into a fresh full-lattice
 # array, runs the butterfly on it in place, and wraps the nonempty part as
 # the result, over the input's denominator (`SubsetFn._from_numerators`).

@@ -75,7 +75,7 @@ def subsetfn_to_json(fn: SubsetFn) -> dict:
     return {
         "p": fn.p,
         "kind": fn.kind.value,
-        "entries": _entries_to_json(list(fn.entries())),
+        "entries": _entries_to_json(fn.support()),
     }
 
 
@@ -87,7 +87,7 @@ def subsetfn_from_json(data: Mapping[str, Any]) -> SubsetFn:
 
 
 def tm_model_to_json(model: TmModel) -> dict:
-    return {"p": model.p, "beta": _entries_to_json(list(model.support()))}
+    return {"p": model.p, "beta": _entries_to_json(model.support())}
 
 
 def _model_entries(data: Any) -> tuple[int, dict[int, Rat]]:

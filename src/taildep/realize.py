@@ -220,18 +220,6 @@ def decide_sdr(
     _guard(d.p, max_p)
     cols, A, rhs = cut_system(d)
     pairs = tuple(sdr_rows(d.p))
-    if d.p == 1:  # no pairs and no cuts: nothing to decide
-        model = TmModel.from_entries(1, {})
-        return FeasibilityOutcome(
-            "sdr",
-            Status.FEASIBLE,
-            1,
-            pairs,
-            witness_beta=model.beta,
-            model=model,
-            cuts=CutDecomposition(1, (), ZERO),
-            scale=ZERO,
-        )
     lp = ExactSimplex(A, rhs)
     if not lp.feasible:
         return FeasibilityOutcome(

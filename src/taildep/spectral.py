@@ -256,17 +256,14 @@ def detect_line_metric(d: SemiMetric) -> LineMetricCert | NotLine:
                 best = d.d[i][j]
                 anchor = i
     order = tuple(sorted(range(p), key=lambda v: (d.d[anchor][v], v)))
-    weights = tuple(
-        d.d[order[k]][order[k + 1]] for k in range(p - 1)
+    cert = LineMetricCert(
+        order, tuple(d.d[order[k]][order[k + 1]] for k in range(p - 1))
     )
-    prefix = [ZERO]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
     for i in range(p):
         for j in range(i + 1, p):
-            if d.d[order[i]][order[j]] != prefix[j] - prefix[i]:
+            if d.d[order[i]][order[j]] != cert.distance(i, j):
                 return NotLine((order[i], order[j]))
-    return LineMetricCert(order, weights)
+    return cert
 
 
 @dataclass(frozen=True)

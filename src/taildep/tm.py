@@ -40,7 +40,7 @@ from .errors import (
     InvalidPmf,
     ScaleTooSmall,
 )
-from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
+from .rationals import Rat, RatLike, ZERO, rat
 from .subsets import set_str
 
 
@@ -70,19 +70,13 @@ class TmModel:
         # the weights are nonnegative: all zero iff their sum is
         return self.beta.total() == 0
 
-    @cached_property
-    def _support(self) -> tuple[tuple[int, Rat], ...]:
-        # kept in the instance dict, outside the fields: equality, hash and
-        # repr never see it
-        return self.beta.support()
-
     def __getstate__(self) -> dict:
-        # pickle the fields only, not the cached support
+        # pickle the fields only, not the cached support numerators
         return {"p": self.p, "beta": self.beta}
 
     def support(self) -> tuple[tuple[int, Rat], ...]:
-        """Nonzero weights as ((mask, weight), ...), found once per model."""
-        return self._support
+        """Nonzero weights as ((mask, weight), ...)."""
+        return self.beta.support()
 
     def theta_total(self) -> Rat:
         """Total mass = extremal coefficient of the full index set."""
@@ -90,12 +84,7 @@ class TmModel:
 
     def marginal_scales(self) -> tuple[Rat, ...]:
         """Scale of each 1-Frechet marginal: sum of weights over sets containing i."""
-        scales = [ZERO] * self.p
-        for mask, v in self.support():
-            for i in range(self.p):
-                if mask >> i & 1:
-                    scales[i] += v
-        return tuple(scales)
+        return tuple(self.lambda_of(1 << i) for i in range(self.p))
 
     def lambdas(self) -> SubsetFn:
         return lambda_from_beta(self.beta)
@@ -105,7 +94,10 @@ class TmModel:
 
     @cached_property
     def _support_numerators(self) -> tuple[list[int], list[int], int]:
-        """(masks, numerators, den) of the support, over beta's denominator."""
+        """(masks, numerators, den) of the support, over beta's denominator.
+
+        Kept in the instance dict, outside the fields: equality, hash and
+        repr never see it."""
         nums, den = self.beta._numerators()
         where = np.flatnonzero(nums)
         return (where + 1).tolist(), nums[where].tolist(), den
@@ -216,7 +208,7 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     keeps -theta(S) / u to full relative precision.
 
     Every theta(S) comes from one table: each atom's integer numerator
-    (over the support's common denominator) is added at the atom's trace on
+    (over beta's common denominator) is added at the atom's trace on
     the subset, one subset-sum pass turns that into the weight of atoms
     whose trace lies inside T, and theta(S) is the total minus that weight
     at T = subset minus S.  The int true division numerator / denominator
@@ -226,12 +218,11 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
         raise DomainError(f"threshold must be positive, got {u}")
     if subset == 0 or subset >= (1 << model.p):
         raise DomainError(f"subset mask {subset} out of range")
-    support = model.support()
-    nums, den = to_common_numerators([v for _, v in support])
+    masks, nums, den = model._support_numerators
     bits = [i for i in range(model.p) if subset >> i & 1]
     full = (1 << len(bits)) - 1
     inside = [0] * (full + 1)
-    for (mask, _), num in zip(support, nums):
+    for mask, num in zip(masks, nums):
         trace = sum(1 << t for t, i in enumerate(bits) if mask >> i & 1)
         inside[trace] += num
     for t in range(len(bits)):

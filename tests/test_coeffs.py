@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from taildep import coeffs
 from taildep.coeffs import (
     Kind,
     SubsetFn,
@@ -356,6 +357,79 @@ def test_equality_across_denominators():
     assert twice._numerators()[1] != lam._numerators()[1]
     assert twice == lam and hash(twice) == hash(lam)
     assert lam.scaled(rat(2, 3)) != lam
+
+
+def _stored_as_numerators(fn, expected):
+    """``fn`` holds read-only numerators and no rationals until ``values`` is
+    read, and matches ``expected`` in equality, hash, repr and pickle."""
+    nums, den = fn._numerators()
+    assert not nums.flags.writeable and den > 0
+    assert fn._values is None
+    fn[1], fn.support(), fn.total(), fn.negative_masks()
+    assert fn._values is None
+    assert fn.values == expected.values and fn._values is not None
+    _same(fn, expected)
+    _same(pickle.loads(pickle.dumps(fn)), expected)
+
+
+_ENTRY_VALUES = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=8),
+    st.integers(-(1 << 70), 1 << 70),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.dictionaries(st.integers(1, (1 << p) - 1), _ENTRY_VALUES, max_size=8),
+        )
+    ),
+    st.sampled_from(list(Kind)),
+    _ENTRY_VALUES,
+)
+def test_numerator_builds_match_rational_builds(case, kind, c):
+    p, entries = case
+    c = rat(c)
+    values = [rat(entries.get(m, 0)) for m in range(1, 1 << p)]
+
+    def raw():
+        return SubsetFn.from_entries(p, entries, Kind.RAW)
+
+    for built, make in (
+        (_built(p, values, kind), lambda: SubsetFn.from_entries(p, entries, kind)),
+        (_built(p, [ZERO] * len(values), kind), lambda: SubsetFn.zeros(p, kind)),
+        (_built(p, values, kind), lambda: raw().with_kind(kind)),
+        (_built(p, [c * v for v in values], Kind.RAW), lambda: raw().scaled(c)),
+    ):
+        if built is InvalidBeta:
+            with pytest.raises(InvalidBeta):
+                make()
+        else:
+            _stored_as_numerators(make(), built)
+
+
+def test_rational_builds_keep_their_rationals():
+    values = (rat(1, 3), ZERO, rat(-2, 5))
+    fn = SubsetFn(2, values, Kind.RAW)
+    assert fn._values is values
+    assert fn._numerators()[0].tolist() == [5, 0, -6] and fn._numerators()[1] == 15
+
+
+def test_support_builds_only_nonzero_rationals(monkeypatch):
+    entries = {1: rat(1, 3), 0b101: rat(2, 7), 1 << 15: rat(5), (1 << 16) - 1: rat(-1, 6)}
+    fn = SubsetFn.from_entries(16, entries, Kind.RAW)
+    seen = []
+    real = coeffs.from_common_numerators
+
+    def spy(nums, den):
+        seen.append(list(nums))
+        return real(nums, den)
+
+    monkeypatch.setattr(coeffs, "from_common_numerators", spy)
+    assert fn.support() == tuple(sorted(entries.items()))
+    assert len(seen) == 1 and len(seen[0]) == len(entries) and all(seen[0])
+    assert fn._values is None
 
 
 @given(beta_systems(max_p=6))

@@ -1,11 +1,12 @@
 """File-format round trips and the CLI exit-code contract."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from taildep import io as tio
+from taildep import cli, io as tio
 from taildep.cli import main
 from taildep.coeffs import TdMatrix
 from taildep.errors import MalformedInput
@@ -265,6 +266,23 @@ class TestCliExitCodes:
 
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            real_init(parser, *args, **kwargs)
+            if parser.prog == "taildep":
+                built.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        model = TmModel.from_entries(2, {3: 1})
+        (tmp_path / "m.json").write_text(json.dumps(tio.tm_model_to_json(model)))
+        assert main(["frobnicate"]) == 2
+        assert main(["report", "--model", str(tmp_path / "m.json")]) == 0
+        assert len(built) == 1
 
     def test_report_large_p_exit_2(self, tmp_path, capsys):
         model = TmModel.from_entries(7, {1: 1})

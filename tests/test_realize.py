@@ -184,6 +184,13 @@ class TestDecideSdr:
         d = SemiMetric.from_rows([[0]])
         out = decide_sdr(d)
         assert out.feasible
+        # no pairs and no cuts: a requested scale is all full-set slack
+        out = decide_sdr(d, scale="5")
+        assert out.feasible and out.scale == 5
+        assert out.model.support() == ((1, rat(5)),)
+        assert verify_certificate(out, d)
+        with pytest.raises(ScaleTooSmall):
+            decide_sdr(d, scale="-1")
 
 
 class TestNormalizeReduction:

@@ -46,3 +46,21 @@ def test_every_private_helper_is_used():
         and used[node.name] == Counter(_names(node))[node.name]
     ]
     assert unused == []
+
+
+def test_only_coeffs_names_the_subset_function_slots():
+    # SubsetFn's stored form is private to coeffs; other modules read it
+    # through _numerators(), so the choice of representation stays there
+    slots = {"_nums", "_den", "_values"}
+    found = [
+        f"{path.name}:{sub.lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "coeffs.py"
+        for sub in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        # attribute names, bare names and strings such as getattr(fn, "_nums")
+        for name in (
+            getattr(sub, "attr", None), getattr(sub, "id", None), getattr(sub, "value", None)
+        )
+        if isinstance(name, str) and name in slots
+    ]
+    assert found == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from taildep.coeffs import Kind, SubsetFn, lambda_from_beta, theta_from_beta
 from taildep import coeffs, tm
@@ -23,7 +23,7 @@ from taildep.instances import (
     random_beta,
     random_subset_pmf,
 )
-from taildep.rationals import ZERO, rat
+from taildep.rationals import ZERO, rat, to_common_numerators
 from taildep.subsets import mask_of
 from taildep.tm import (
     RealizabilityFailure,
@@ -65,6 +65,14 @@ def test_lambda_and_theta_of_equal_fraction_support_sums(model):
         assert lam == sum((v for m, v in weights if m & K == K), Fraction(0))
         assert theta == sum((v for m, v in weights if m & K), Fraction(0))
         assert type(lam.numerator) is int and type(theta.numerator) is int
+
+
+@pytest.mark.parametrize("model", list(_sums_cases()))
+def test_marginal_scales_equal_fraction_sums(model):
+    weights = [(m, Fraction(v)) for m, v in model.beta.entries() if v]
+    assert model.marginal_scales() == tuple(
+        sum((v for m, v in weights if m >> i & 1), Fraction(0)) for i in range(model.p)
+    )
 
 
 def test_wide_atoms_hold_numerators_past_int64():
@@ -265,6 +273,53 @@ def test_joint_exceedance_equals_per_submask_sums(case):
     model, subset, u = case
     value = exact_joint_exceedance(model, subset, u)
     assert value == reference_joint_exceedance(model, subset, u)
+
+
+def _support_joint_exceedance(model, subset, u):
+    """Inclusion-exclusion with every theta(S) from a subset-sum table of
+    the support's numerators over their own reduced common denominator,
+    which can be smaller than beta's."""
+    support = model.support()
+    nums, den = to_common_numerators([v for _, v in support])
+    bits = [i for i in range(model.p) if subset >> i & 1]
+    full = (1 << len(bits)) - 1
+    inside = [0] * (full + 1)
+    for (mask, _), num in zip(support, nums):
+        inside[sum(1 << t for t, i in enumerate(bits) if mask >> i & 1)] += num
+    for t in range(len(bits)):
+        for cell in range(full + 1):
+            if cell >> t & 1:
+                inside[cell] += inside[cell ^ 1 << t]
+    acc = 0.0
+    for pick in range(full + 1):
+        term = math.expm1(-((inside[full] - inside[full ^ pick]) / den) / u)
+        acc += term if pick.bit_count() % 2 == 0 else -term
+    return acc
+
+
+@st.composite
+def _wide_model_subset_threshold(draw):
+    p = draw(st.integers(1, 6))
+    weight = st.one_of(
+        st.fractions(min_value=0, max_value=20, max_denominator=60),
+        st.builds(rat, st.integers(0, 1 << 90), st.integers(1, 1 << 70)),
+    )
+    entries = draw(st.dictionaries(st.integers(1, (1 << p) - 1), weight, max_size=12))
+    model = TmModel.from_entries(p, entries)
+    return model, draw(st.integers(1, (1 << p) - 1)), 10.0 ** draw(st.floats(-2, 300))
+
+
+@given(_wide_model_subset_threshold())
+@example((TmModel.from_entries(3, _WIDE_ATOMS), 1, 0.5))
+@example((TmModel.from_entries(3, _WIDE_ATOMS), 5, 1e3))
+@example((TmModel.from_entries(3, _WIDE_ATOMS), 7, 1e300))
+def test_joint_exceedance_equals_support_denominator_formula(case):
+    # beta's denominator can be a multiple of the support's reduced one;
+    # int true division rounds the same rational to the same float
+    model, subset, u = case
+    assert exact_joint_exceedance(model, subset, u) == _support_joint_exceedance(
+        model, subset, u
+    )
 
 
 class TestExceedanceSetDist:
