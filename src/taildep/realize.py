@@ -124,9 +124,12 @@ def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
     """nums' A for a 0/1 int64 matrix A (``_incidence``), exactly.
 
     int64 when sum(|nums|) fits (``_store``): no partial sum of a 0/1
-    combination can exceed it.  Python ints otherwise.
+    combination can exceed it.  Python ints otherwise.  ``einsum`` rather
+    than ``@``: on the wide cut incidences int64 ``@`` was 1.2x slower at
+    p = 12 and 4x slower at p = 16 (numpy 2.4), and ``einsum`` is exact on
+    object arrays too.
     """
-    return _store(nums) @ incidence
+    return np.einsum("i,ij->j", _store(nums), incidence)
 
 
 def tdr_system(L: TdMatrix) -> tuple[list[int], np.ndarray, list[Rat]]:

@@ -14,10 +14,19 @@ scales, and decides decomposition uniqueness exactly: one linear program
 over the cut system, answered with a checked dual certificate when the
 decomposition is unique and with two differing decompositions when it is
 not.
+
+The line path runs on integers.  A semimetric, a line certificate and a
+line model each hold their entries as integer numerators over one
+denominator, built once per object on first use and kept outside the
+dataclass fields.  Detection, the model's weights, the collapse of
+higher-order coefficients with its cross-check, and a line's rigidity
+proof add and compare those ints; rationals are built only for the values
+the functions return.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,9 +34,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import TdMatrix, spectral_distance_entry
+from .coeffs import Kind, SubsetFn, TdMatrix, check_dimension, spectral_distance_entry
 from .errors import InternalError, MalformedMatrix, NotInCutCone
-from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
+from .rationals import (
+    Rat,
+    RatLike,
+    ZERO,
+    _reduced,
+    from_common_numerators,
+    rat,
+    to_common_numerators,
+)
 from .subsets import full_mask, set_str
 from .tm import TmModel
 
@@ -67,6 +84,19 @@ class SemiMetric:
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.d[i][j]
+
+    @cached_property
+    def _row_numerators(self) -> tuple[list[list[int]], int]:
+        """(the rows of d as integer numerators over one denominator, that
+        denominator > 0).  Kept in the instance dict, outside the fields:
+        equality, hash and repr never see it."""
+        p = self.p
+        flat, den = to_common_numerators([v for row in self.d for v in row])
+        return [flat[i * p:(i + 1) * p] for i in range(p)], den
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only, not the numerator view
+        return {"p": self.p, "d": self.d}
 
     def max_entry(self) -> Rat:
         return max((v for row in self.d for v in row), default=ZERO)
@@ -195,8 +225,9 @@ class LineMetricCert:
     def p(self) -> int:
         return len(self.order)
 
-    # The two caches below live in the instance dict, outside the fields:
-    # equality, hash and repr never see them.
+    # The two caches below, the positions and the integer prefix sums of
+    # the gaps, live in the instance dict, outside the fields: equality,
+    # hash and repr never see them.
 
     @cached_property
     def _positions(self) -> tuple[int, ...]:
@@ -207,12 +238,14 @@ class LineMetricCert:
         return tuple(pos)
 
     @cached_property
-    def _prefix(self) -> tuple[Rat, ...]:
-        """The distance from position 0 to each position."""
-        prefix = [ZERO]
-        for w in self.weights:
-            prefix.append(prefix[-1] + w)
-        return tuple(prefix)
+    def _prefix_numerators(self) -> tuple[list[int], int]:
+        """(the distance from position 0 to each position, as integer
+        numerators over one denominator, that denominator > 0)."""
+        gaps, den = to_common_numerators(self.weights)
+        prefix = [0]
+        for g in gaps:
+            prefix.append(prefix[-1] + g)
+        return prefix, den
 
     def __getstate__(self) -> dict:
         # pickle the fields only, not the caches
@@ -223,7 +256,8 @@ class LineMetricCert:
 
     def distance(self, pos_i: int, pos_j: int) -> Rat:
         lo, hi = min(pos_i, pos_j), max(pos_i, pos_j)
-        return self._prefix[hi] - self._prefix[lo]
+        prefix, den = self._prefix_numerators
+        return rat(prefix[hi] - prefix[lo], den)
 
 
 @dataclass(frozen=True)
@@ -244,26 +278,35 @@ def detect_line_metric(d: SemiMetric) -> LineMetricCert | NotLine:
     endpoint (ties broken by index, which groups co-located components),
     then verify all pairwise sums exactly.  Any valid order passes the
     verification, so the heuristic choice cannot reject a genuine line.
+    The search, the sort and the check compare the integer numerators of
+    d over one denominator (``SemiMetric._row_numerators``); the gaps
+    returned are d's own entries.
     """
     p = d.p
     if p == 1:
         return LineMetricCert((0,), ())
-    anchor = 0
-    best = ZERO
+    rows, _ = d._row_numerators
+    anchor, best = 0, 0
     for i in range(p):
+        row = rows[i]
         for j in range(i + 1, p):
-            if d.d[i][j] > best:
-                best = d.d[i][j]
-                anchor = i
-    order = tuple(sorted(range(p), key=lambda v: (d.d[anchor][v], v)))
-    cert = LineMetricCert(
-        order, tuple(d.d[order[k]][order[k + 1]] for k in range(p - 1))
-    )
-    for i in range(p):
-        for j in range(i + 1, p):
-            if d.d[order[i]][order[j]] != cert.distance(i, j):
+            if row[j] > best:
+                best, anchor = row[j], i
+    # sorted() is stable over ascending indices: ties stay in index order
+    order = sorted(range(p), key=rows[anchor].__getitem__)
+    # the distance from position 0 to each position along the candidate
+    prefix = [0]
+    for a, b in zip(order, order[1:]):
+        prefix.append(prefix[-1] + rows[a][b])
+    for i in range(p - 2):
+        row, at = rows[order[i]], prefix[i]
+        # consecutive positions hold by construction
+        for j in range(i + 2, p):
+            if row[order[j]] != prefix[j] - at:
                 return NotLine((order[i], order[j]))
-    return cert
+    return LineMetricCert(
+        tuple(order), tuple(d.d[a][b] for a, b in zip(order, order[1:]))
+    )
 
 
 @dataclass(frozen=True)
@@ -286,20 +329,35 @@ class LineTmModel:
     marginals: tuple  # marginal scale per original component index
 
     @cached_property
-    def _halves(self) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
-        """((m_k + x_k) / 2, ...) and ((m_k - x_k) / 2, ...) over the line
-        positions k, for the marginal m_k and the distance x_k from position
-        0.  Cached outside the fields, like ``LineMetricCert``'s caches."""
-        ms = [self.marginals[comp] for comp in self.cert.order]
-        xs = self.cert._prefix
-        return (
-            tuple((m + x) / 2 for m, x in zip(ms, xs)),
-            tuple((m - x) / 2 for m, x in zip(ms, xs)),
-        )
+    def _halves(self) -> tuple[list[int], list[int], int]:
+        """(rising, falling, e): the halves (m_k +- x_k) / 2 of the line as
+        integer numerators over one denominator e (``_line_halves``), for
+        ``higher_order_from_line``.  Cached outside the fields, like
+        ``LineMetricCert``'s caches."""
+        return _line_halves(self.cert, *to_common_numerators(self.marginals))
 
     def __getstate__(self) -> dict:
         # pickle the fields only, not the cache
         return {"model": self.model, "cert": self.cert, "marginals": self.marginals}
+
+
+def _line_halves(
+    cert: LineMetricCert, marginals: Sequence[int], den: int
+) -> tuple[list[int], list[int], int]:
+    """(rising, falling, e): rising[k] / e = (m_k + x_k) / 2 and
+    falling[k] / e = (m_k - x_k) / 2 over the line positions k, for the
+    marginal m_k (numerators ``marginals`` per component, over ``den``) and
+    the distance x_k from position 0.  e is twice the least common multiple
+    of den and the gaps' denominator, so the halves are integers."""
+    xs, xden = cert._prefix_numerators
+    lcm = math.lcm(den, xden)
+    up, over = lcm // den, lcm // xden
+    ms = [marginals[comp] * up for comp in cert.order]
+    return (
+        [m + x * over for m, x in zip(ms, xs)],
+        [m - x * over for m, x in zip(ms, xs)],
+        2 * lcm,
+    )
 
 
 def line_tm_model(
@@ -317,39 +375,47 @@ def line_tm_model(
 
     everything else zero.  These always reproduce the distances and the
     marginals exactly; realizability holds iff they are all nonnegative.
+
+    In the halves of ``_line_halves`` the weights are differences of
+    neighbours, beta(prefix [1:k]) = falling_k - falling_{k+1} and
+    beta(suffix [k+1:p]) = rising_{k+1} - rising_k, and
+    beta(full set) = rising_1 + falling_p: integer numerators over the
+    halves' one denominator, which the model keeps.
     """
     p = cert.p
-    m = [rat(v) for v in marginals]
+    m = tuple(rat(v) for v in marginals)
     if len(m) != p:
         raise ValueError(f"expected {p} marginal scales, got {len(m)}")
-    mline = [m[comp] for comp in cert.order]
-    w = [rat(v) for v in cert.weights]
+    mnums, mden = to_common_numerators(m)
+    rising, falling, den = _line_halves(cert, mnums, mden)
 
-    prefix_mask = [0] * (p + 1)
-    for k, comp in enumerate(cert.order):
-        prefix_mask[k + 1] = prefix_mask[k] | (1 << comp)
-    fm = prefix_mask[p]
+    # a prefix, a suffix and the full set never coincide: one entry each
+    fm = (1 << p) - 1
+    entries: dict[int, int] = {}
+    prefix = 0
+    for k, comp in enumerate(cert.order[:-1]):
+        prefix |= 1 << comp
+        entries[prefix] = falling[k] - falling[k + 1]
+        entries[fm ^ prefix] = rising[k + 1] - rising[k]
+    entries[fm] = rising[0] + falling[-1]
 
-    entries: dict[int, Rat] = {}
-    for k in range(p - 1):
-        pair = (mline[k] + mline[k + 1] - w[k]) / 2
-        bpre = mline[k] - pair
-        bsuf = mline[k + 1] - pair
-        pre_mask = prefix_mask[k + 1]
-        suf_mask = fm ^ prefix_mask[k + 1]
-        entries[pre_mask] = entries.get(pre_mask, ZERO) + bpre
-        entries[suf_mask] = entries.get(suf_mask, ZERO) + bsuf
-    bfull = (mline[0] + mline[-1] - sum(w, ZERO)) / 2
-    entries[fm] = entries.get(fm, ZERO) + bfull
-
-    negative = tuple((mask, v) for mask, v in sorted(entries.items()) if v < 0)
+    negative = tuple(
+        (mask, rat(v, den)) for mask, v in sorted(entries.items()) if v < 0
+    )
     if negative:
         return NotRealizableAtTheseMarginals(negative)
-    model = TmModel.from_entries(p, {m_: v for m_, v in entries.items() if v != 0})
+    check_dimension(p)  # before a list of 2**p - 1 numerators
+    nums = [0] * fm
+    for mask, v in entries.items():
+        nums[mask - 1] = v
+    model = TmModel(p, SubsetFn._from_numerators(p, nums, den, Kind.BETA))
     # The formulas reconstruct marginals and distances identically; trip only on bugs.
-    if model.marginal_scales() != tuple(m):
-        raise InternalError("line model does not reproduce its marginal scales")
-    return LineTmModel(model, cert, tuple(m))
+    masks, weights, wden = model._support_numerators
+    for i, mnum in enumerate(mnums):
+        bit = 1 << i
+        if sum(w for mask, w in zip(masks, weights) if mask & bit) * mden != mnum * wden:
+            raise InternalError("line model does not reproduce its marginal scales")
+    return LineTmModel(model, cert, m)
 
 
 def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
@@ -358,18 +424,28 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
     Along the line, every atom is a prefix or a suffix, so containing a set
     is the same as containing its extreme positions lo <= hi, and
     lambda(J) = (m_lo + m_hi - (x_hi - x_lo)) / 2 for the marginals m and
-    the distances x from position 0; both halves are found once per line.
+    the distances x from position 0; both halves are found once per line,
+    as integer numerators over one denominator.  The value is checked
+    against the model's own sum over the atoms containing J, in integers.
     """
-    p = line_model.cert.p
+    order = line_model.cert.order
+    p = len(order)
     if subset == 0 or subset >= (1 << p):
         raise ValueError(f"subset mask {subset} out of range")
-    pos = line_model.cert._positions
-    positions = [pos[i] for i in range(p) if subset >> i & 1]
-    rising, falling = line_model._halves
-    value = rising[min(positions)] + falling[max(positions)]
-    if value != line_model.model.lambda_of(subset):
+    # J's extreme positions: the first and the last line position in J
+    lo, hi = 0, p - 1
+    while not subset >> order[lo] & 1:
+        lo += 1
+    while not subset >> order[hi] & 1:
+        hi -= 1
+    rising, falling, den = line_model._halves
+    value = rising[lo] + falling[hi]
+    masks, nums, mden = line_model.model._support_numerators
+    inside = sum([n for mask, n in zip(masks, nums) if mask & subset == subset])
+    if value * mden != inside * den:
         raise InternalError("line formula disagrees with the model's lambda")
-    return value
+    g = math.gcd(value, den)
+    return _reduced(value // g, den // g)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +504,17 @@ def _line_dual(line: LineMetricCert) -> list[int]:
     return y
 
 
-def _check_uniqueness(y: Sequence[Rat], A: np.ndarray, rhs: list, x_star: list) -> None:
-    """Check in integers that y proves x* the only decomposition
-    (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every cut J outside
-    the support of x*, >= 0 inside it, pairing y with the very array A that
-    ``realize.cut_system`` returned.  Raises ``InternalError`` if not."""
+def _check_uniqueness(
+    ys: Sequence[int], q: int, A: np.ndarray, bs: Sequence[int], x_star: Sequence
+) -> None:
+    """Check in integers that y = ys / q (q > 0) proves x* the only
+    decomposition (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every
+    cut J outside the support of x*, >= 0 inside it, pairing ys with the
+    very array A that ``realize.cut_system`` returned; ``bs`` are the
+    numerators of d's pairs in A's row order, over any positive
+    denominator.  Raises ``InternalError`` if not."""
     from .realize import _pairings  # deferred: realize imports this module
 
-    ys, q = to_common_numerators(y)  # y = ys / q, q > 0
-    bs, _ = to_common_numerators(rhs)
     if sum(a * b for a, b in zip(ys, bs)) != 0:
         raise InternalError("uniqueness certificate: y'd != 0")
     loads = _pairings(ys, A)  # q * y'A_J
@@ -477,27 +555,35 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
         return RigidityReport(d.p, (), True, None, 1, ())
     cols, A, rhs = cut_system(d)
     n = len(cols)
+    rows, den = d._row_numerators
+    bs = [rows[i][j] for i in range(d.p) for j in range(i + 1, d.p)]
     line = detect_line_metric(d)
     if isinstance(line, LineMetricCert):
         # the canonical cuts are the odd masks below the full set,
-        # ascending: cut c is column c >> 1
-        x_star, prefix = [ZERO] * n, 0
-        for comp, gap in zip(line.order, line.weights):
-            prefix |= 1 << comp
-            x_star[canonical_cut(prefix, d.p) >> 1] = gap
-        y = [Rat(v) for v in _line_dual(line)]
-    else:
-        from .lp import ExactSimplex
+        # ascending: cut c is column c >> 1; each gap's numerator over den
+        # goes to its prefix cut
+        x_nums, prefix = [0] * n, 0
+        for a, b in zip(line.order, line.order[1:]):
+            prefix |= 1 << a
+            x_nums[canonical_cut(prefix, d.p) >> 1] = rows[a][b]
+        ys = _line_dual(line)
+        _check_uniqueness(ys, 1, A, bs, x_nums)
+        x_star = from_common_numerators(x_nums, den)
+        ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
+        certificate = tuple(from_common_numerators(ys, 1))
+        return RigidityReport(d.p, ranges, True, None, trials, certificate)
 
-        lp = ExactSimplex(A, rhs)
-        if not lp.feasible:
-            raise NotInCutCone("semimetric admits no cut decomposition")
-        x_star = lp.witness()
-        decider = lp.copy()
-        excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
-        y = decider.dual if excess == 0 else None
-    if y is not None:
-        _check_uniqueness(y, A, rhs, x_star)
+    from .lp import ExactSimplex
+
+    lp = ExactSimplex(A, rhs)
+    if not lp.feasible:
+        raise NotInCutCone("semimetric admits no cut decomposition")
+    x_star = lp.witness()
+    decider = lp.copy()
+    excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
+    if excess == 0:
+        y = decider.dual
+        _check_uniqueness(*to_common_numerators(y), A, bs, x_star)
         ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
         return RigidityReport(d.p, ranges, True, None, trials, tuple(y))
 

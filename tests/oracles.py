@@ -7,7 +7,10 @@ kept to pin that the faster ones return the same bytes; the rigidity
 reference is the objective-cycling probe that the exact uniqueness decider
 replaced, kept to pin that the decider reports what it reported; the dense
 simplex is the Bareiss tableau that the revised simplex in ``lp`` replaced,
-kept to pin that it makes the same pivots.
+kept to pin that it makes the same pivots; the line-metric references are
+the ``Fraction`` versions of detection, the line model and the collapse of
+higher-order coefficients that the integer ones replaced, kept to pin that
+those return the same values of the same types.
 """
 
 from __future__ import annotations
@@ -19,11 +22,19 @@ from fractions import Fraction
 import numpy as np
 
 from taildep.coeffs import Kind, SubsetFn
-from taildep.errors import TaildepError, UnboundedObjective
+from taildep.errors import InternalError, TaildepError, UnboundedObjective
 from taildep.lp import ExactSimplex, SimplexStats
 from taildep.rationals import ZERO, Rat, rat, to_common_numerators
 from taildep.realize import cut_system
-from taildep.spectral import CutDecomposition, RigidityReport
+from taildep.spectral import (
+    CutDecomposition,
+    LineMetricCert,
+    LineTmModel,
+    NotLine,
+    NotRealizableAtTheseMarginals,
+    RigidityReport,
+)
+from taildep.tm import TmModel
 
 
 def brute_lambda_from_beta(beta: SubsetFn) -> SubsetFn:
@@ -236,6 +247,83 @@ def reference_rigidity_probe(d, trials: int = 20, seed: int = 0) -> RigidityRepo
             for x in witness_pair
         )
     return RigidityReport(d.p, ranges, rigid, pair, used)
+
+
+def _fraction_prefix(weights) -> list:
+    prefix = [ZERO]
+    for w in weights:
+        prefix.append(prefix[-1] + w)
+    return prefix
+
+
+def reference_detect_line_metric(d):
+    """``detect_line_metric`` comparing and summing the entries of d as
+    rationals: diametral anchor, order by distance from it (ties by index),
+    then every pair checked against the prefix sums of the gaps."""
+    p = d.p
+    if p == 1:
+        return LineMetricCert((0,), ())
+    anchor, best = 0, ZERO
+    for i in range(p):
+        for j in range(i + 1, p):
+            if d.d[i][j] > best:
+                best, anchor = d.d[i][j], i
+    order = tuple(sorted(range(p), key=lambda v: (d.d[anchor][v], v)))
+    weights = tuple(d.d[order[k]][order[k + 1]] for k in range(p - 1))
+    prefix = _fraction_prefix(weights)
+    for i in range(p):
+        for j in range(i + 1, p):
+            if d.d[order[i]][order[j]] != prefix[j] - prefix[i]:
+                return NotLine((order[i], order[j]))
+    return LineMetricCert(order, weights)
+
+
+def reference_line_tm_model(cert, marginals):
+    """``line_tm_model`` in rationals: the prefix, suffix and full-set
+    weights from the pairwise coefficients (m_k + m_{k+1} - w_k) / 2."""
+    p = cert.p
+    m = [rat(v) for v in marginals]
+    if len(m) != p:
+        raise ValueError(f"expected {p} marginal scales, got {len(m)}")
+    mline = [m[comp] for comp in cert.order]
+    w = [rat(v) for v in cert.weights]
+    prefix_mask = [0] * (p + 1)
+    for k, comp in enumerate(cert.order):
+        prefix_mask[k + 1] = prefix_mask[k] | (1 << comp)
+    fm = prefix_mask[p]
+    entries = {}
+    for k in range(p - 1):
+        pair = (mline[k] + mline[k + 1] - w[k]) / 2
+        pre_mask, suf_mask = prefix_mask[k + 1], fm ^ prefix_mask[k + 1]
+        entries[pre_mask] = entries.get(pre_mask, ZERO) + mline[k] - pair
+        entries[suf_mask] = entries.get(suf_mask, ZERO) + mline[k + 1] - pair
+    entries[fm] = entries.get(fm, ZERO) + (mline[0] + mline[-1] - sum(w, ZERO)) / 2
+    negative = tuple((mask, v) for mask, v in sorted(entries.items()) if v < 0)
+    if negative:
+        return NotRealizableAtTheseMarginals(negative)
+    model = TmModel.from_entries(p, {mask: v for mask, v in entries.items() if v != 0})
+    if model.marginal_scales() != tuple(m):
+        raise InternalError("line model does not reproduce its marginal scales")
+    return LineTmModel(model, cert, tuple(m))
+
+
+def reference_higher_order_from_line(line_model, subset: int):
+    """``higher_order_from_line`` in rationals: (m_lo + x_lo) / 2 +
+    (m_hi - x_hi) / 2 at J's extreme line positions lo <= hi, checked
+    against the model's ``lambda_of``."""
+    cert = line_model.cert
+    p = cert.p
+    if subset == 0 or subset >= (1 << p):
+        raise ValueError(f"subset mask {subset} out of range")
+    pos = cert.position_of()
+    positions = [pos[i] for i in range(p) if subset >> i & 1]
+    lo, hi = min(positions), max(positions)
+    xs = _fraction_prefix(cert.weights)
+    m_lo, m_hi = line_model.marginals[cert.order[lo]], line_model.marginals[cert.order[hi]]
+    value = (m_lo + xs[lo]) / 2 + (m_hi - xs[hi]) / 2
+    if value != line_model.model.lambda_of(subset):
+        raise InternalError("line formula disagrees with the model's lambda")
+    return value
 
 
 def exact_weight_ranges(d) -> tuple:

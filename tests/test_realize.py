@@ -1,5 +1,7 @@
 """Realizability deciders: ground truth both ways, certificates, reduction."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from taildep.rationals import rat
 from taildep.realize import (
     DEFAULT_MAX_P,
     Status,
+    _pairings,
     cut_system,
     decide_sdr,
     decide_tdr,
@@ -58,6 +61,24 @@ def test_systems_are_read_only_int64_incidences(p):
         assert cols == masks and len(rhs) == len(pairs)
         assert A.shape == (len(pairs), len(masks))
         assert A.tolist() == [[int(bool(hit(J, i, j))) for J in masks] for i, j in pairs]
+
+
+@pytest.mark.parametrize(
+    "scale", [1, 1 << 56, 1 << 70], ids=["int64", "sum-past-int64", "past-int64"]
+)
+@pytest.mark.parametrize("transposed", [False, True], ids=["rows", "columns"])
+def test_pairings_equal_python_int_sums(scale, transposed):
+    # nums' A over the cut system, and over the transposed view that
+    # _mismatch pairs, equal plain Python-int sums entry for entry; at
+    # scale 2**56 every entry fits int64 but their sum does not
+    A = cut_system(SemiMetric.from_rows([[0] * 6] * 6))[1]
+    if transposed:
+        A = A.T
+    rng = random.Random(11)
+    nums = [rng.randint(-99, 99) * scale for _ in range(A.shape[0])]
+    loads = _pairings(nums, A)
+    assert loads.dtype == (np.int64 if scale == 1 else object)
+    assert loads.tolist() == [sum(n * a for n, a in zip(nums, col)) for col in A.T.tolist()]
 
 
 class TestDecideTdr:

@@ -2,13 +2,15 @@
 
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from taildep import spectral
 from taildep.coeffs import lambda_from_beta, td_matrix
@@ -48,6 +50,9 @@ from oracles import (
     brute_cut_reconstruction,
     exact_weight_ranges,
     fraction_certificate_holds,
+    reference_detect_line_metric,
+    reference_higher_order_from_line,
+    reference_line_tm_model,
     reference_rigidity_probe,
 )
 
@@ -224,6 +229,146 @@ class TestLineTmModel:
             assert higher_order_from_line(built, mask) == lam[mask]
 
 
+# gaps: zero, small with mixed denominators, and numerators past int64
+GAPS = st.one_of(
+    st.just(ZERO),
+    st.fractions(min_value=0, max_value=8, max_denominator=12),
+    st.builds(Fraction, st.integers(2**62, 2**80), st.integers(1, 2**66)),
+)
+
+
+def _typed(values):
+    return [(type(v), v.numerator, v.denominator) for v in values]
+
+
+def _line_case(weights, rng):
+    """A line with these gaps under a random relabelling, and marginals per
+    component: a walk moving at most one gap per step, shifted so the end
+    marginals cover the line's length (realizable), plus an extra amount
+    that is negative (too small: the full-set weight goes negative) about
+    one time in three, or past int64."""
+    p = len(weights) + 1
+    order = rng.sample(range(p), p)
+    walk = [Fraction(rng.randint(0, 8), rng.choice([1, 2, 3, 7]))]
+    for w in weights:
+        walk.append(walk[-1] + w * Fraction(rng.randint(-4, 4), 4))
+    extra = rng.choice([
+        ZERO, Fraction(rng.randint(1, 9), rng.choice([1, 5, 9])),
+        Fraction(-rng.randint(1, 9), rng.choice([1, 4])), Fraction(2**70, 3),
+    ])
+    shift = (sum(weights, ZERO) - walk[0] - walk[-1]) / 2 + extra
+    marginals = [None] * p
+    for pos, comp in enumerate(order):
+        m = walk[pos] + shift
+        # integral marginals go in as ints, the rest as rationals
+        marginals[comp] = int(m) if m.denominator == 1 else m
+    return line_metric_from_weights(weights, order), marginals
+
+
+class TestIntegerLinePath:
+    """Detection, the line model and the collapse run on integer
+    numerators; each returns what the rational versions (oracles) return,
+    value for value and type for type."""
+
+    @given(st.lists(GAPS, max_size=8), st.randoms(use_true_random=False))
+    @example([], random.Random(1))  # p = 1
+    @example([Fraction(5, 3)], random.Random(2))  # p = 2
+    @example([ZERO] * 4, random.Random(3))  # the all-zero metric
+    def test_line_path_equals_fraction_reference(self, weights, rng):
+        d, marginals = _line_case(weights, rng)
+        cert, want = detect_line_metric(d), reference_detect_line_metric(d)
+        assert isinstance(cert, LineMetricCert) and cert == want
+        assert _typed(cert.weights) == _typed(want.weights)
+        built = line_tm_model(cert, marginals)
+        ref = reference_line_tm_model(want, marginals)
+        assert type(built) is type(ref) and built == ref
+        if isinstance(ref, NotRealizableAtTheseMarginals):
+            assert [m for m, _ in built.negative] == [m for m, _ in ref.negative]
+            assert _typed(v for _, v in built.negative) == _typed(v for _, v in ref.negative)
+            return
+        assert _typed(built.marginals) == _typed(ref.marginals)
+        support, ref_support = built.model.support(), ref.model.support()
+        assert [m for m, _ in support] == [m for m, _ in ref_support]
+        assert _typed(v for _, v in support) == _typed(v for _, v in ref_support)
+        subsets = range(1, 1 << d.p)
+        assert _typed(higher_order_from_line(built, m) for m in subsets) == _typed(
+            reference_higher_order_from_line(ref, m) for m in subsets
+        )
+        # the probe's ranges are the gaps' rationals on their prefix cuts
+        report = rigidity_probe(d)
+        expected, prefix = {}, 0
+        for comp, gap in zip(want.order, want.weights):
+            prefix |= 1 << comp
+            expected[canonical_cut(prefix, d.p)] = gap
+        assert [mask for mask, _, _ in report.ranges] == canonical_cuts(d.p)
+        assert all(lo == hi for _, lo, hi in report.ranges)
+        assert _typed(lo for _, lo, _ in report.ranges) == _typed(
+            expected.get(mask, ZERO) for mask in canonical_cuts(d.p)
+        )
+        if d.p > 1:
+            assert fraction_certificate_holds(d, report)
+
+    @given(
+        st.lists(GAPS, min_size=2, max_size=8),
+        st.randoms(use_true_random=False),
+        GAPS.filter(bool),
+    )
+    def test_bent_lines_fail_on_the_reference_pair(self, weights, rng, delta):
+        # one pair pushed apart: the same verdict, and the same first
+        # failing pair when it is no longer a line
+        d, _ = _line_case(weights, rng)
+        i, j = rng.sample(range(d.p), 2)
+        rows = [list(row) for row in d.d]
+        rows[i][j] += delta
+        rows[j][i] += delta
+        bent = SemiMetric.from_rows(rows)
+        got, want = detect_line_metric(bent), reference_detect_line_metric(bent)
+        assert got == want
+        if isinstance(want, LineMetricCert):
+            assert _typed(got.weights) == _typed(want.weights)
+
+    @pytest.mark.parametrize("cache", ["halves", "support"])
+    def test_tampered_collapse_raises_internal_error(self, line_metric, monkeypatch, cache):
+        # the line formula is checked against the model's own support sum
+        built = line_tm_model(detect_line_metric(line_metric), [2, 2, 2])
+        subset = mask_of(1, 3)
+        assert higher_order_from_line(built, subset) == rat(1, 2)
+        if cache == "halves":
+            rising, falling, den = built._halves
+            tampered = ([v + 1 for v in rising], falling, den)
+            monkeypatch.setitem(built.__dict__, "_halves", tampered)
+        else:
+            masks, nums, den = built.model._support_numerators
+            tampered = (masks, [n + 1 for n in nums], den)
+            monkeypatch.setitem(built.model.__dict__, "_support_numerators", tampered)
+        with pytest.raises(InternalError):
+            higher_order_from_line(built, subset)
+
+    def test_tampered_line_weights_raise_internal_error(self, line_metric, monkeypatch):
+        # one more unit on the full set and one fewer on the suffix after
+        # position 0 (1/2 here, so still nonnegative) moves only the first
+        # component's marginal: the integer marginal check trips
+        cert = detect_line_metric(line_metric)
+        halves = spectral._line_halves
+
+        def tampered(*args):
+            rising, falling, den = halves(*args)
+            return [rising[0] + 1, *rising[1:]], falling, den
+
+        monkeypatch.setattr(spectral, "_line_halves", tampered)
+        with pytest.raises(InternalError):
+            line_tm_model(cert, [2, 2, 2])
+
+    def test_numerator_view_stays_outside_the_fields(self, line_metric):
+        twin = SemiMetric(line_metric.p, line_metric.d)
+        rows, den = line_metric._row_numerators
+        assert den == 1 and rows == [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+        assert line_metric == twin and hash(line_metric) == hash(twin)
+        assert repr(line_metric) == repr(twin)
+        clone = pickle.loads(pickle.dumps(line_metric))
+        assert "_row_numerators" not in clone.__dict__ and clone == line_metric
+
+
 class TestRigidityProbe:
     def test_line_ranges_degenerate_at_gap_weights(self, line_metric):
         report = rigidity_probe(line_metric, trials=20)
@@ -280,8 +425,9 @@ class TestUniquenessDecider:
     @pytest.mark.parametrize("p", range(2, 10))
     def test_warm_started_lines_equal_reference(self, p):
         # gaps as drawn, every second gap zero (co-located points), and all
-        # gaps zero, each under a random relabelling; the probe starts from
-        # the nonzero-gap prefix cuts, the reference from scratch
+        # gaps zero, each under a random relabelling; the probe proves the
+        # line with its closed-form dual, the reference solves the LP under
+        # every objective
         rng = random.Random(300 + p)
         drawn, _ = random_line_instance(p, rng)
         for case, weights in enumerate([
