@@ -30,6 +30,8 @@ def rat(value: RatLike, den: int | None = None) -> Rat:
     """
     if den is not None:
         return Rat(value, den)
+    if type(value) is Rat:
+        return value  # immutable, so no copy (a subclass still converts)
     if isinstance(value, str):
         try:
             return Rat(value)

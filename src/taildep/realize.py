@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -132,18 +133,29 @@ def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", _store(nums), incidence)
 
 
+# A is read-only and a function of p alone, so each problem shares one per
+# p.  Two per problem: a caller alternating two dimensions keeps both, and
+# p = 16 pins one 31 MB cut incidence, not a growing set.
+@lru_cache(maxsize=2)
+def _tdr_incidence(p: int) -> np.ndarray:
+    return _incidence(_covers, tdr_rows(p), range(1, 1 << p))
+
+
+@lru_cache(maxsize=2)
+def _cut_incidence(p: int) -> np.ndarray:
+    return _incidence(_separates, sdr_rows(p), canonical_cuts(p))
+
+
 def tdr_system(L: TdMatrix) -> tuple[list[int], np.ndarray, list[Rat]]:
     """Columns = all nonempty subsets; row (i, j) of A sums those covering {i, j}."""
-    pairs = tdr_rows(L.p)
-    cols = list(range(1, 1 << L.p))
-    return cols, _incidence(_covers, pairs, cols), [L.lam[i][j] for i, j in pairs]
+    rhs = [L.lam[i][j] for i, j in tdr_rows(L.p)]
+    return list(range(1, 1 << L.p)), _tdr_incidence(L.p), rhs
 
 
 def cut_system(d: SemiMetric) -> tuple[list[int], np.ndarray, list[Rat]]:
     """Columns = canonical proper cuts; row (i, j) of A sums those separating i, j."""
-    pairs = sdr_rows(d.p)
-    cols = canonical_cuts(d.p)
-    return cols, _incidence(_separates, pairs, cols), [d.d[i][j] for i, j in pairs]
+    rhs = [d.d[i][j] for i, j in sdr_rows(d.p)]
+    return canonical_cuts(d.p), _cut_incidence(d.p), rhs
 
 
 # ---------------------------------------------------------------------------

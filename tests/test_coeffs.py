@@ -1,12 +1,13 @@
 """Subset coefficient algebra: frozen examples, oracles, and properties."""
 
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from taildep import coeffs
 from taildep.coeffs import (
@@ -200,13 +201,29 @@ class TestTdMatrixAndDistance:
 # ---------------------------------------------------------------------------
 
 
+def _dense_p8_beta():
+    """A fixed dense p = 8 system: the butterfly's levels 4 to 7 follow runs
+    of 16 to 128 entries, the levels below walk the blocks."""
+    rng = random.Random(8)
+    values = [rat(rng.randint(0, 40), rng.choice([1, 2, 3, 8])) for _ in range(255)]
+    return SubsetFn.from_values(8, values, Kind.BETA)
+
+
+_P8_INT64 = _dense_p8_beta()
+_P8_OBJECT = _P8_INT64.scaled((1 << 70) + 1)  # numerators past 2**63
+
+
 @given(beta_systems(max_p=5))
+@example(_P8_INT64)
+@example(_P8_OBJECT)
 def test_forward_transforms_match_bruteforce(beta):
     assert lambda_from_beta(beta).values == brute_lambda_from_beta(beta).values
     assert theta_from_beta(beta).values == brute_theta_from_beta(beta).values
 
 
 @given(beta_systems(max_p=5))
+@example(_P8_INT64)
+@example(_P8_OBJECT)
 def test_inversions_match_bruteforce(beta):
     lam = lambda_from_beta(beta)
     th = theta_from_beta(beta)

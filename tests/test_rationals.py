@@ -22,6 +22,12 @@ denominators = st.one_of(st.just(1), st.integers(min_value=1, max_value=2**100))
 
 def test_rat_is_fraction():
     assert Rat is fractions.Fraction
+    # a Fraction is immutable, so rat hands it back as it is; a subclass
+    # still converts
+    q = Fraction(3, 7)
+    assert rat(q) is q
+    sub = type("Sub", (Fraction,), {})(3, 7)
+    assert type(rat(sub)) is Fraction and rat(sub) == q
 
 
 @given(numerators, denominators)

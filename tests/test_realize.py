@@ -44,20 +44,24 @@ from taildep.tm import TmModel, model_from_bernoulli
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_systems_are_read_only_int64_incidences(p):
-    # each builder hands out one read-only int64 array, equal entry for
-    # entry to the incidence written out here by bit tests
+    # each builder hands out one read-only int64 array per p, shared by
+    # every call, equal entry for entry to the incidence written out here by
+    # bit tests; the column list is fresh on every call
     L = TdMatrix(p, ((rat(1),) * p,) * p)
     d = SemiMetric.from_rows([[0] * p] * p)
     tdr_pairs = [(i, j) for i in range(p) for j in range(i, p)]
     sdr_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     subsets = list(range(1, 1 << p))
     cuts = [J for J in subsets[:-1] if J & 1]
-    for (cols, A, rhs), pairs, masks, hit in (
-        (tdr_system(L), tdr_pairs, subsets, lambda J, i, j: J >> i & 1 and J >> j & 1),
-        (cut_system(d), sdr_pairs, cuts, lambda J, i, j: J >> i & 1 != J >> j & 1),
+    for build, pairs, masks, hit in (
+        (lambda: tdr_system(L), tdr_pairs, subsets, lambda J, i, j: J >> i & 1 and J >> j & 1),
+        (lambda: cut_system(d), sdr_pairs, cuts, lambda J, i, j: J >> i & 1 != J >> j & 1),
     ):
+        cols, A, rhs = build()
+        again = build()
+        assert again[1] is A and again[0] is not cols
         assert isinstance(A, np.ndarray) and A.dtype == np.int64
-        assert not A.flags.writeable
+        assert A.flags.writeable is False
         assert cols == masks and len(rhs) == len(pairs)
         assert A.shape == (len(pairs), len(masks))
         assert A.tolist() == [[int(bool(hit(J, i, j))) for J in masks] for i, j in pairs]
