@@ -118,10 +118,7 @@ def _cmd_tm_synth(args: argparse.Namespace) -> int:
     if isinstance(result, RealizabilityFailure):
         payload = {
             "realizable": False,
-            "negative_beta": [
-                {"set": list(labels_of(m)), "value": rat_str(v)}
-                for m, v in result.negative
-            ],
+            "negative_beta": tio._entries_to_json(result.negative),
         }
         _emit(payload, args.out)
         return EXIT_NEGATIVE
@@ -172,10 +169,7 @@ def _cmd_linemetric(args: argparse.Namespace) -> int:
     built = line_tm_model(cert, marginals)
     if isinstance(built, NotRealizableAtTheseMarginals):
         payload["realizable"] = False
-        payload["negative_beta"] = [
-            {"set": list(labels_of(m)), "value": rat_str(v)}
-            for m, v in built.negative
-        ]
+        payload["negative_beta"] = tio._entries_to_json(built.negative)
         _emit(payload, args.out)
         return EXIT_NEGATIVE
     payload["realizable"] = True

@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .coeffs import Kind, SubsetFn, TdMatrix
+from .coeffs import Kind, SubsetFn, TdMatrix, lambda_from_beta, td_matrix
 from .rationals import Rat, RatLike, ZERO, rat
-from .spectral import SemiMetric
-from .subsets import full_mask, mask_of
+from .spectral import CutDecomposition, SemiMetric
+from .subsets import canonical_cut, full_mask, mask_of
 from .tm import TmModel
 
 
@@ -108,18 +108,8 @@ def random_unit_margin_beta(p: int, rng: random.Random) -> SubsetFn:
 
 
 def pair_matrix_from_beta(beta: SubsetFn) -> TdMatrix:
-    """Bivariate matrix of a weight system, by direct pair sums."""
-    p = beta.p
-    rows = [[ZERO] * p for _ in range(p)]
-    for mask, v in beta.support():
-        for i in range(p):
-            if mask >> i & 1:
-                rows[i][i] += v
-                for j in range(i + 1, p):
-                    if mask >> j & 1:
-                        rows[i][j] += v
-                        rows[j][i] += v
-    return TdMatrix(p, tuple(tuple(r) for r in rows))
+    """Bivariate matrix of a weight system."""
+    return td_matrix(lambda_from_beta(beta))
 
 
 def violate_triangle(L: TdMatrix, rng: random.Random) -> TdMatrix:
@@ -216,17 +206,11 @@ def random_cut_metric(p: int, rng: random.Random, n_cuts: int | None = None) -> 
     """Nonnegative combination of random cut semimetrics (decomposable by build)."""
     if n_cuts is None:
         n_cuts = max(2, p)
-    rows = [[ZERO] * p for _ in range(p)]
+    cuts: dict[int, Rat] = {}
     for _ in range(n_cuts):
-        mask = rng.randrange(1, full_mask(p))
-        w = rat(rng.randint(0, 12), 8)
-        for i in range(p):
-            ini = mask >> i & 1
-            for j in range(i + 1, p):
-                if ini != (mask >> j & 1):
-                    rows[i][j] += w
-                    rows[j][i] += w
-    return SemiMetric(p, tuple(tuple(row) for row in rows))
+        mask = canonical_cut(rng.randrange(1, full_mask(p)), p)
+        cuts[mask] = cuts.get(mask, ZERO) + rat(rng.randint(0, 12), 8)
+    return CutDecomposition(p, tuple(cuts.items()), ZERO).reconstruct()
 
 
 def random_subset_pmf(

@@ -22,12 +22,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .coeffs import Kind, SubsetFn, TdMatrix, _store, lambda_from_beta
+from .coeffs import (
+    Kind, SubsetFn, TdMatrix, _covers, _cut_incidence, _incidence, _pairings, _separates,
+    _tdr_incidence, lambda_from_beta, sdr_rows, tdr_rows,
+)
 from .errors import (
     CertificateRejected,
     DegenerateReduction,
@@ -38,8 +40,8 @@ from .errors import (
 )
 from .lp import ExactSimplex
 from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
-from .spectral import CutDecomposition, SemiMetric, canonical_cuts
-from .subsets import full_mask
+from .spectral import CutDecomposition, SemiMetric
+from .subsets import canonical_cuts, full_mask
 from .tm import TmModel, synthesize
 
 DEFAULT_MAX_P = 12  # p = 13 SDR answers took 3.3-76 s, median 37 s (BENCH_6.json)
@@ -87,63 +89,9 @@ class FeasibilityOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Constraint-system builders (shared with the uniqueness decider).
+# Constraint systems: the columns, the incidence ``coeffs`` caches per p,
+# and the right-hand side.
 # ---------------------------------------------------------------------------
-
-
-def tdr_rows(p: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(p) for j in range(i, p)]
-
-
-def sdr_rows(p: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(p) for j in range(i + 1, p)]
-
-
-def _covers(has_i: np.ndarray, has_j: np.ndarray) -> np.ndarray:
-    """TDR: a subset covers the pair (i, j) when it contains both ends."""
-    return has_i & has_j
-
-
-def _separates(has_i: np.ndarray, has_j: np.ndarray) -> np.ndarray:
-    """SDR: a cut separates the pair (i, j) when it contains one end only."""
-    return has_i != has_j
-
-
-def _incidence(hits: callable, pairs: Sequence, masks: Sequence[int]) -> np.ndarray:
-    """Read-only 0/1 int64 matrix, one row per pair (i, j) and one column
-    per mask: 1 where ``hits`` (``_covers`` or ``_separates``) reports the
-    mask on the pair, given boolean rows of which masks contain i and j."""
-    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    components = np.arange(int(ends.max(initial=-1)) + 1)[:, None]
-    has = (np.array(masks, dtype=np.int64) >> components & 1).astype(bool)
-    A = hits(has[ends[:, 0]], has[ends[:, 1]]).astype(np.int64)
-    A.flags.writeable = False
-    return A
-
-
-def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
-    """nums' A for a 0/1 int64 matrix A (``_incidence``), exactly.
-
-    int64 when sum(|nums|) fits (``_store``): no partial sum of a 0/1
-    combination can exceed it.  Python ints otherwise.  ``einsum`` rather
-    than ``@``: on the wide cut incidences int64 ``@`` was 1.2x slower at
-    p = 12 and 4x slower at p = 16 (numpy 2.4), and ``einsum`` is exact on
-    object arrays too.
-    """
-    return np.einsum("i,ij->j", _store(nums), incidence)
-
-
-# A is read-only and a function of p alone, so each problem shares one per
-# p.  Two per problem: a caller alternating two dimensions keeps both, and
-# p = 16 pins one 31 MB cut incidence, not a growing set.
-@lru_cache(maxsize=2)
-def _tdr_incidence(p: int) -> np.ndarray:
-    return _incidence(_covers, tdr_rows(p), range(1, 1 << p))
-
-
-@lru_cache(maxsize=2)
-def _cut_incidence(p: int) -> np.ndarray:
-    return _incidence(_separates, sdr_rows(p), canonical_cuts(p))
 
 
 def tdr_system(L: TdMatrix) -> tuple[list[int], np.ndarray, list[Rat]]:
@@ -281,11 +229,12 @@ def normalize_sdr_to_tdr(d: SemiMetric) -> TdMatrix:
 
 
 def _mismatch(
-    nums: Sequence[int], den: int, hits: callable, masks: Sequence[int], pairs: Sequence, target
+    nums: Sequence[int], den: int, incidence: np.ndarray, pairs: Sequence, target
 ) -> tuple | None:
-    """First ((i, j), sum) where the sum of nums / den over the masks that
-    ``hits`` the pair differs from target[i][j]; None if every pair matches."""
-    sums = _pairings(nums, _incidence(hits, pairs, masks).T)
+    """First ((i, j), sum) where the sum of nums / den over the masks (the
+    columns of ``incidence``, one row per pair) that hit the pair differs
+    from target[i][j]; None if every pair matches."""
+    sums = _pairings(nums, incidence.T)
     for (i, j), total in zip(pairs, sums.tolist()):
         want = target[i][j]
         if total * want.denominator != want.numerator * den:
@@ -304,10 +253,11 @@ def verify_certificate(
 
     * a TDR witness must sum, over the subsets covering each row pair, to
       that pair's coefficient;
-    * SDR cut weights must sum, over the cuts separating each pair, to its
-      distance; a materialized model must have every marginal (the sum over
-      the subsets covering (i, i)) equal to ``scale`` and, atom J separating
-      (i, j) exactly as its cut does, reproduce every distance;
+    * SDR cut weights on distinct proper cuts must sum, over the cuts
+      separating each pair, to its distance; a materialized model's sums
+      lambda_ij over the subsets covering each pair must give every
+      marginal lambda_ii = ``scale`` and every distance
+      lambda_ii + lambda_jj - 2 lambda_ij (the atoms separating i and j);
     * a Farkas vector y must pair positively with the right-hand side and
       nonpositively with every column.
 
@@ -318,13 +268,13 @@ def verify_certificate(
     if outcome.problem == "tdr":
         if not isinstance(instance, TdMatrix):
             raise CertificateRejected("TDR certificate paired with a non-TD instance")
-        p, target, hits = instance.p, instance.lam, _covers
-        masks, pairs = list(range(1, 1 << p)), tdr_rows(p)
+        p, target = instance.p, instance.lam
+        masks, pairs, A = range(1, 1 << p), tdr_rows(p), _tdr_incidence(p)
     elif outcome.problem == "sdr":
         if not isinstance(instance, SemiMetric):
             raise CertificateRejected("SDR certificate paired with a non-metric instance")
-        p, target, hits = instance.p, instance.d, _separates
-        masks, pairs = canonical_cuts(p), sdr_rows(p)
+        p, target = instance.p, instance.d
+        masks, pairs, A = canonical_cuts(p), sdr_rows(p), _cut_incidence(p)
     else:
         raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")
     if outcome.p != p:
@@ -341,7 +291,7 @@ def verify_certificate(
         bs, _ = to_common_numerators([target[i][j] for i, j in pairs])
         if sum(y * b for y, b in zip(ys, bs)) <= 0:
             raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
-        positive = np.flatnonzero(_pairings(ys, _incidence(hits, pairs, masks)) > 0)
+        positive = np.flatnonzero(_pairings(ys, A) > 0)
         if positive.size:
             raise CertificateRejected(f"Farkas pairing with column {masks[positive[0]]} is positive")
         return True
@@ -360,10 +310,14 @@ def verify_certificate(
         cuts = outcome.cuts
         if cuts is None or any(w < 0 for _, w in cuts.cuts):
             raise CertificateRejected("missing or negative cut weights")
-        nums, den = to_common_numerators([w for _, w in cuts.cuts])
         masks = [m for m, _ in cuts.cuts]
+        # the empty set, the full set and masks beyond p separate nothing
+        if len(set(masks)) != len(masks) or not all(0 < m < full_mask(p) for m in masks):
+            raise CertificateRejected("cut masks are not distinct proper cuts")
+        nums, den = to_common_numerators([w for _, w in cuts.cuts])
+        A = _incidence(_separates, pairs, masks)
         what = "cut reconstruction"
-    miss = _mismatch(nums, den, hits, masks, pairs, target)
+    miss = _mismatch(nums, den, A, pairs, target)
     if miss is not None:
         (i, j), total = miss
         raise CertificateRejected(
@@ -372,15 +326,21 @@ def verify_certificate(
 
     model, scale = outcome.model, outcome.scale
     if outcome.problem == "sdr" and model is not None and scale is not None:
-        # marginal i sums the atoms covering (i, i); atom J separates (i, j)
-        # exactly as its cut does, and the full set separates nothing
+        # one covers pairing gives lambda_ij for i <= j; built here, not
+        # taken from the TDR cache, so an SDR check pins no TDR incidence.
+        # A model over another number of components needs only marginals.
         q = model.p
         nums, den = model.beta._numerators()
-        subsets = range(1, 1 << q)
-        diagonal = [(i, i) for i in range(q)]
-        if _mismatch(nums, den, _covers, subsets, diagonal, [[scale] * q] * q):
+        rows = tdr_rows(q) if q == p else [(i, i) for i in range(q)]
+        A = _incidence(_covers, rows, range(1, 1 << q))
+        lam = dict(zip(rows, _pairings(nums, A.T).tolist()))
+        if any(lam[i, i] * scale.denominator != scale.numerator * den for i in range(q)):
             raise CertificateRejected("materialized marginals are unequal")
-        if q != p or _mismatch(nums, den, _separates, subsets, sdr_rows(q), target):
+        if q != p or any(
+            (lam[i, i] + lam[j, j] - 2 * lam[i, j]) * target[i][j].denominator
+            != target[i][j].numerator * den
+            for i, j in pairs
+        ):
             raise CertificateRejected("materialized model does not reproduce the distances")
     return True
 

@@ -34,8 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import Kind, SubsetFn, TdMatrix, check_dimension, spectral_distance_entry
+from .coeffs import (
+    Kind, SubsetFn, TdMatrix, _cut_incidence, _incidence, _pairings, _separates,
+    check_dimension, sdr_rows, spectral_distance_entry,
+)
 from .errors import InternalError, MalformedMatrix, NotInCutCone
+from .lp import ExactSimplex
 from .rationals import (
     Rat,
     RatLike,
@@ -45,7 +49,7 @@ from .rationals import (
     rat,
     to_common_numerators,
 )
-from .subsets import full_mask, set_str
+from .subsets import canonical_cut, canonical_cuts, full_mask, set_str
 from .tm import TmModel
 
 
@@ -143,17 +147,6 @@ def distance_from_td(td: TdMatrix) -> SemiMetric:
 # ---------------------------------------------------------------------------
 
 
-def canonical_cut(mask: int, p: int) -> int:
-    """Representative of the pair {J, J^c}: the side containing component 1."""
-    return mask if mask & 1 else full_mask(p) ^ mask
-
-
-def canonical_cuts(p: int) -> list[int]:
-    """All proper canonical cuts, ascending; there are 2**(p-1) - 1 of them."""
-    fm = full_mask(p)
-    return [m for m in range(1, fm) if m & 1]
-
-
 @dataclass(frozen=True)
 class CutDecomposition:
     """Nonnegative weights on canonical proper cuts, plus full-set slack.
@@ -175,17 +168,14 @@ class CutDecomposition:
         return ZERO
 
     def reconstruct(self) -> SemiMetric:
-        rows = [[ZERO] * self.p for _ in range(self.p)]
-        for mask, w in self.cuts:
-            if w == 0:
-                continue
-            for i in range(self.p):
-                ini = mask >> i & 1
-                for j in range(i + 1, self.p):
-                    if ini != (mask >> j & 1):
-                        rows[i][j] += w
-                        rows[j][i] += w
-        return SemiMetric(self.p, tuple(tuple(row) for row in rows))
+        p, pairs = self.p, sdr_rows(self.p)
+        nums, den = to_common_numerators([w for _, w in self.cuts])
+        A = _incidence(_separates, pairs, [m for m, _ in self.cuts])
+        rows = [[ZERO] * p for _ in range(p)]
+        sums = from_common_numerators(_pairings(nums, A.T).tolist(), den)
+        for (i, j), v in zip(pairs, sums):
+            rows[i][j] = rows[j][i] = v
+        return SemiMetric(p, tuple(tuple(row) for row in rows))
 
 
 def cut_decomposition(model: TmModel) -> CutDecomposition:
@@ -460,7 +450,7 @@ class RigidityReport:
     A rigid report (unique decomposition) is a *proof*: its ranges are the
     one decomposition x*, and ``certificate`` holds multipliers y, one per
     pair (i, j), i < j, in lexicographic order (the rows of the int64
-    incidence A that ``realize.cut_system`` returns), with y'A_J >= 1 for
+    incidence A that ``coeffs._cut_incidence`` caches), with y'A_J >= 1 for
     every cut J outside the support of x*, y'A_J >= 0 for the cuts inside
     it, and y'd = 0 (checked on that same A by ``_check_uniqueness``).  Any
     decomposition x then has sum of x_J over cuts outside the support
@@ -510,11 +500,9 @@ def _check_uniqueness(
     """Check in integers that y = ys / q (q > 0) proves x* the only
     decomposition (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every
     cut J outside the support of x*, >= 0 inside it, pairing ys with the
-    very array A that ``realize.cut_system`` returned; ``bs`` are the
+    cached cut incidence A (``coeffs._cut_incidence``); ``bs`` are the
     numerators of d's pairs in A's row order, over any positive
     denominator.  Raises ``InternalError`` if not."""
-    from .realize import _pairings  # deferred: realize imports this module
-
     if sum(a * b for a, b in zip(ys, bs)) != 0:
         raise InternalError("uniqueness certificate: y'd != 0")
     loads = _pairings(ys, A)  # q * y'A_J
@@ -546,17 +534,16 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     the decider's optimum (which differ) are added, so a non-unique d never
     gets a rigid report.  Requires d to be decomposable at all.
     """
-    from .realize import cut_system  # deferred: realize imports this module
-
     if trials < 1:
         raise ValueError("need at least one objective")
     if d.p == 1:
         # no pairs and no cuts; the empty decomposition is the only one
         return RigidityReport(d.p, (), True, None, 1, ())
-    cols, A, rhs = cut_system(d)
+    cols, A = canonical_cuts(d.p), _cut_incidence(d.p)
     n = len(cols)
     rows, den = d._row_numerators
-    bs = [rows[i][j] for i in range(d.p) for j in range(i + 1, d.p)]
+    pairs = sdr_rows(d.p)
+    bs = [rows[i][j] for i, j in pairs]
     line = detect_line_metric(d)
     if isinstance(line, LineMetricCert):
         # the canonical cuts are the odd masks below the full set,
@@ -573,9 +560,7 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
         certificate = tuple(from_common_numerators(ys, 1))
         return RigidityReport(d.p, ranges, True, None, trials, certificate)
 
-    from .lp import ExactSimplex
-
-    lp = ExactSimplex(A, rhs)
+    lp = ExactSimplex(A, [d.d[i][j] for i, j in pairs])
     if not lp.feasible:
         raise NotInCutCone("semimetric admits no cut decomposition")
     x_star = lp.witness()

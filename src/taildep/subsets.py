@@ -34,6 +34,17 @@ def full_mask(p: int) -> int:
     return (1 << p) - 1
 
 
+def canonical_cut(mask: int, p: int) -> int:
+    """Representative of the pair {J, J^c}: the side containing component 1."""
+    return mask if mask & 1 else full_mask(p) ^ mask
+
+
+def canonical_cuts(p: int) -> list[int]:
+    """All proper canonical cuts, ascending; there are 2**(p-1) - 1 of them."""
+    fm = full_mask(p)
+    return [m for m in range(1, fm) if m & 1]
+
+
 def set_str(mask: int) -> str:
     """Human-readable subset, e.g. "{1,3}"."""
     return "{" + ",".join(str(k) for k in labels_of(mask)) + "}"

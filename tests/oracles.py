@@ -10,7 +10,10 @@ simplex is the Bareiss tableau that the revised simplex in ``lp`` replaced,
 kept to pin that it makes the same pivots; the line-metric references are
 the ``Fraction`` versions of detection, the line model and the collapse of
 higher-order coefficients that the integer ones replaced, kept to pin that
-those return the same values of the same types.
+those return the same values of the same types; the instance references
+are the per-pair ``Fraction`` loops that ``random_cut_metric`` and
+``pair_matrix_from_beta`` ran before they went through the shared
+incidence, kept to pin that every generated instance stays the same.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from taildep.coeffs import Kind, SubsetFn
+from taildep.coeffs import Kind, SubsetFn, TdMatrix
 from taildep.errors import InternalError, TaildepError, UnboundedObjective
 from taildep.lp import ExactSimplex, SimplexStats
 from taildep.rationals import ZERO, Rat, rat, to_common_numerators
@@ -33,6 +36,7 @@ from taildep.spectral import (
     NotLine,
     NotRealizableAtTheseMarginals,
     RigidityReport,
+    SemiMetric,
 )
 from taildep.tm import TmModel
 
@@ -128,6 +132,38 @@ def brute_cut_reconstruction(weights: dict, p: int) -> list[list]:
                     acc += w
             d[i][j] = acc
     return d
+
+
+def reference_random_cut_metric(p: int, rng: random.Random, n_cuts: int | None = None) -> SemiMetric:
+    """``instances.random_cut_metric`` as a per-pair loop over the drawn cuts."""
+    if n_cuts is None:
+        n_cuts = max(2, p)
+    rows = [[ZERO] * p for _ in range(p)]
+    for _ in range(n_cuts):
+        mask = rng.randrange(1, (1 << p) - 1)
+        w = rat(rng.randint(0, 12), 8)
+        for i in range(p):
+            ini = mask >> i & 1
+            for j in range(i + 1, p):
+                if ini != (mask >> j & 1):
+                    rows[i][j] += w
+                    rows[j][i] += w
+    return SemiMetric(p, tuple(tuple(row) for row in rows))
+
+
+def reference_pair_matrix_from_beta(beta: SubsetFn) -> TdMatrix:
+    """``instances.pair_matrix_from_beta`` as direct pair sums over the support."""
+    p = beta.p
+    rows = [[ZERO] * p for _ in range(p)]
+    for mask, v in beta.support():
+        for i in range(p):
+            if mask >> i & 1:
+                rows[i][i] += v
+                for j in range(i + 1, p):
+                    if mask >> j & 1:
+                        rows[i][j] += v
+                        rows[j][i] += v
+    return TdMatrix(p, tuple(tuple(r) for r in rows))
 
 
 def brute_bernoulli_moment(pmf: dict, subset_mask: int) -> Rat:

@@ -27,7 +27,12 @@ from taildep.coeffs import (
     theta_violations,
 )
 from taildep.errors import InvalidBeta, InvalidTdMatrix, SizeLimitError
-from taildep.instances import line_fixture_model, random_beta
+from taildep.instances import (
+    line_fixture_model,
+    pair_matrix_from_beta,
+    random_beta,
+    random_unit_margin_beta,
+)
 from taildep.rationals import ZERO, rat
 from taildep.subsets import mask_of
 
@@ -38,6 +43,7 @@ from oracles import (
     brute_lambda_from_theta,
     brute_theta_from_beta,
     brute_theta_from_lambda,
+    reference_pair_matrix_from_beta,
 )
 
 
@@ -199,6 +205,16 @@ class TestTdMatrixAndDistance:
 # ---------------------------------------------------------------------------
 # Brute-force agreement and property tests.
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_pair_matrix_from_beta_matches_the_pair_loop(p):
+    # the bivariate restriction of lambda equals the direct pair sums over
+    # the support, so no test or bench input moves
+    for seed in range(20):
+        rng = random.Random(seed)
+        for beta in (random_beta(p, rng), random_unit_margin_beta(p, rng)):
+            assert pair_matrix_from_beta(beta) == reference_pair_matrix_from_beta(beta)
 
 
 def _dense_p8_beta():

@@ -460,6 +460,24 @@ class TestCertificates:
                 seen.add(valid)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize(
+        "extra",
+        [((0, rat(5)),), ((7, rat(5)),), ((8, rat(5)),), ((32, rat(5)),), ((-1, rat(5)),),
+         ((3, rat(0)),)],
+        ids=["empty", "full", "past-p", "far-past-p", "negative", "repeat"],
+    )
+    def test_cut_masks_must_be_distinct_proper_cuts(self, line_metric, extra):
+        # at p = 3 none of these masks separates a pair, and a second entry
+        # for cut {1, 2} adds 0, so the weights still reconstruct d; a cut
+        # must be a mask in 1..2**p - 2, listed once
+        from dataclasses import replace
+
+        out = decide_sdr(line_metric)
+        assert out.cuts.cuts == ((1, rat(1)), (3, rat(2)))
+        cuts = replace(out.cuts, cuts=out.cuts.cuts + extra)
+        with pytest.raises(CertificateRejected, match="^cut masks are not distinct proper cuts$"):
+            verify_certificate(replace(out, cuts=cuts), line_metric)
+
     def test_mismatched_instance_rejected(self, line_metric):
         out = decide_sdr(line_metric)
         with pytest.raises(CertificateRejected):

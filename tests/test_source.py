@@ -64,3 +64,17 @@ def test_only_coeffs_names_the_subset_function_slots():
         if isinstance(name, str) and name in slots
     ]
     assert found == []
+
+
+def test_no_package_relative_import_inside_a_function():
+    # a deferred `from .x import` hides an import cycle; the layers import
+    # each other at module level only, lowest first
+    found = [
+        f"{path.name}:{sub.lineno} from .{sub.module or ''}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.ImportFrom) and sub.level > 0
+    ]
+    assert found == []

@@ -28,6 +28,7 @@ from taildep.instances import (
 from taildep.lp import ExactSimplex
 from taildep.rationals import ZERO, rat
 from taildep.spectral import (
+    CutDecomposition,
     LineMetricCert,
     LineTmModel,
     NotLine,
@@ -53,6 +54,7 @@ from oracles import (
     reference_detect_line_metric,
     reference_higher_order_from_line,
     reference_line_tm_model,
+    reference_random_cut_metric,
     reference_rigidity_probe,
 )
 
@@ -124,6 +126,33 @@ class TestCutDecomposition:
             beta = random_beta(rng.randint(2, 6), rng)
             recon = cut_decomposition(TmModel(beta.p, beta)).reconstruct()
             assert validate(recon).is_semimetric
+
+    @pytest.mark.parametrize("p", range(1, 10))
+    def test_random_cut_metric_matches_the_pair_loop(self, p):
+        # the same draws and the same distances as the per-pair Fraction
+        # loop, so no test or bench input moves
+        for seed in range(20):
+            for n_cuts in (None, 0, 1, 3, 4 * p):
+                got, want = random.Random(seed), random.Random(seed)
+                if p == 1 and n_cuts != 0:
+                    # no proper cut to draw
+                    with pytest.raises(ValueError):
+                        random_cut_metric(p, got, n_cuts)
+                    with pytest.raises(ValueError):
+                        reference_random_cut_metric(p, want, n_cuts)
+                    continue
+                d = random_cut_metric(p, got, n_cuts)
+                assert d == reference_random_cut_metric(p, want, n_cuts)
+                assert got.getstate() == want.getstate()
+
+    def test_reconstruct_at_p1_without_cuts_and_past_int64(self):
+        assert CutDecomposition(1, (), ZERO).reconstruct() == SemiMetric.from_rows([[0]])
+        zero = SemiMetric.from_rows([[0] * 4] * 4)
+        assert CutDecomposition(4, (), rat(3)).reconstruct() == zero
+        assert CutDecomposition(4, ((3, ZERO),), ZERO).reconstruct() == zero
+        weights = {0b001: rat(1 << 70, 3), 0b011: rat(1, 5), 0b101: rat(1 << 64)}
+        recon = CutDecomposition(3, tuple(weights.items()), ZERO).reconstruct()
+        assert [list(row) for row in recon.d] == brute_cut_reconstruction(weights, 3)
 
     def test_canonical_side_contains_component_one(self):
         assert canonical_cut(0b110, 3) == 0b001
@@ -471,31 +500,25 @@ class TestUniquenessDecider:
 
     def test_uniqueness_check_pairs_the_cut_system_array(self, monkeypatch):
         # one incidence from builder to check: _check_uniqueness pairs the
-        # very array cut_system returned, for a line's closed-form dual and
+        # very array cut_system returns, for a line's closed-form dual and
         # for an LP dual
         from taildep import realize
 
-        built, paired = [], []
-        cut_system, pairings = realize.cut_system, realize._pairings
-
-        def build(d):
-            out = cut_system(d)
-            built.append(out[1])
-            return out
+        line = line_metric_from_weights([2, 0, 3, 1], [3, 0, 4, 2, 1])
+        # built before the patch: a cut metric's reconstruction pairs too
+        cuts = random_cut_metric(5, random.Random(0), n_cuts=3)
+        assert isinstance(detect_line_metric(cuts), NotLine)
+        paired, pairings = [], spectral._pairings
 
         def pair(nums, incidence):
             paired.append(incidence)
             return pairings(nums, incidence)
 
-        monkeypatch.setattr(realize, "cut_system", build)
-        monkeypatch.setattr(realize, "_pairings", pair)
-        line = line_metric_from_weights([2, 0, 3, 1], [3, 0, 4, 2, 1])
-        cuts = random_cut_metric(5, random.Random(0), n_cuts=3)
-        assert isinstance(detect_line_metric(cuts), NotLine)
+        monkeypatch.setattr(spectral, "_pairings", pair)
         for d in (line, cuts):
             assert rigidity_probe(d).rigid_consistent
-        assert len(built) == len(paired) == 2
-        assert all(a is b for a, b in zip(paired, built))
+        assert len(paired) == 2
+        assert all(a is realize.cut_system(d)[1] for a, d in zip(paired, (line, cuts)))
 
     def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
         # regression guard by solver count, not time: the closed-form dual
