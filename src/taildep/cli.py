@@ -39,7 +39,9 @@ from .coeffs import (
     theta_from_beta,
     theta_from_lambda,
 )
-from .errors import CertificateRejected, InternalError, TaildepError, UnboundedObjective
+from .errors import (
+    CertificateRejected, DomainError, InternalError, TaildepError, UnboundedObjective,
+)
 from .rationals import rat, rat_str
 from .realize import DEFAULT_MAX_P, Status, decide_sdr, decide_tdr, verify_certificate
 from .spectral import (
@@ -54,10 +56,10 @@ from .spectral import (
 from .subsets import labels_of, set_str
 from .simulate import (
     _CHUNK_ROWS,
-    SimConfig,
+    DEFAULT_BLOCK_SIZE,
     estimation_report,
     exceedance_set_histogram,
-    sample_config,
+    sample,
     tv_distance,
 )
 from .coeffs import td_matrix
@@ -97,15 +99,9 @@ def _round_sig(x: float, digits: int) -> float:
 
 def _cmd_invert(args: argparse.Namespace) -> int:
     fn = tio.subsetfn_from_json(tio.read_json(args.infile))
-    if fn.kind.value != args.src:
-        print(
-            f"error: input file has kind {fn.kind.value}, --from says {args.src}",
-            file=sys.stderr,
-        )
-        return EXIT_MALFORMED
-    op = _INVERSIONS.get((args.src, args.dst))
+    op = _INVERSIONS.get((fn.kind.value, args.dst))
     if op is None:
-        print(f"error: no inversion {args.src} -> {args.dst}", file=sys.stderr)
+        print(f"error: no inversion {fn.kind.value} -> {args.dst}", file=sys.stderr)
         return EXIT_MALFORMED
     result = op(fn)
     _emit(tio.subsetfn_to_json(result), args.out)
@@ -216,19 +212,10 @@ def _cmd_realize_sdr(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = tio.tm_model_from_json(tio.read_json(args.model))
-    config = SimConfig(
-        model=model,
-        n_samples=args.n,
-        u=args.u,
-        seed=args.seed,
-        block_size=args.block_size,
-    )
-    if config.block_size < _CHUNK_ROWS:
-        print(f"warning: --block-size {config.block_size} is below {_CHUNK_ROWS}; "
-              "per-block set-up will dominate the run time", file=sys.stderr)
-    xs = sample_config(config)
-    if args.samples_out:
-        tio.write_samples_binary(args.samples_out, xs)
+    # settings and targets are checked before any warning, draw or file write
+    if args.n < 1 or not args.u > 0 or args.block_size < 1 or args.precision < 0:
+        raise DomainError(f"--n, --u and --block-size must be positive and --precision "
+                          f">= 0, got {args.n}, {args.u}, {args.block_size}, {args.precision}")
     if args.targets:
         lam_t, th_t = tio.targets_from_json(tio.read_json(args.targets), model.p)
     elif model.p <= 6:
@@ -237,6 +224,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         lam_t = [1 << i for i in range(model.p)] + [(1 << model.p) - 1]
         th_t = [(1 << model.p) - 1]
+    if args.block_size < _CHUNK_ROWS:
+        print(f"warning: --block-size {args.block_size} is below {_CHUNK_ROWS}; "
+              "per-block set-up will dominate the run time", file=sys.stderr)
+    xs = sample(model, args.n, args.seed, args.block_size)
+    if args.samples_out:
+        tio.write_samples_binary(args.samples_out, xs)
     rep = estimation_report(model, xs, args.u, lam_t, th_t)
     hist = exceedance_set_histogram(xs, args.u)
     dist = exceedance_set_dist(model) if not model.is_degenerate else None
@@ -317,13 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tail-dependence calculus: coefficient algebra, "
         "max-stable model synthesis, spectral-distance geometry, "
         "realizability deciders, and Monte-Carlo checks.",
-        epilog=f"Set TAILDEP_MAX_P to override the realize deciders' dimension guard "
-        f"(default p <= {DEFAULT_MAX_P}).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("invert", help="convert between beta/lambda/theta systems")
-    q.add_argument("--from", dest="src", required=True, choices=["beta", "lambda", "theta"])
+    q = sub.add_parser("invert", help="convert a beta/lambda/theta system to another kind")
     q.add_argument("--to", dest="dst", required=True, choices=["beta", "lambda", "theta"])
     q.add_argument("--in", dest="infile", required=True, help="coefficient JSON file")
     q.add_argument("--out", help="output JSON path (default: stdout)")
@@ -358,13 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     rt = rsub.add_parser("td", help="tail-dependence matrix realizability")
     rt.add_argument("--in", dest="infile", required=True)
     rt.add_argument("--witness", help="write the outcome JSON here instead of stdout")
-    rt.add_argument("--max-p", type=int, default=None)
+    rt.add_argument("--max-p", type=int, default=DEFAULT_MAX_P,
+                    help=f"decider guard on p (default {DEFAULT_MAX_P})")
     rt.set_defaults(func=_cmd_realize_td)
     rs = rsub.add_parser("sdr", help="spectral-distance realizability")
     rs.add_argument("--in", dest="infile", required=True)
     rs.add_argument("--scale", default="auto", help='"auto" or a rational like "35/2"')
     rs.add_argument("--witness")
-    rs.add_argument("--max-p", type=int, default=None)
+    rs.add_argument("--max-p", type=int, default=DEFAULT_MAX_P,
+                    help=f"decider guard on p (default {DEFAULT_MAX_P})")
     rs.set_defaults(func=_cmd_realize_sdr)
 
     sim = sub.add_parser("simulate", help="Monte-Carlo sampling and estimation report")
@@ -375,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--targets", help="JSON with lambda/theta target sets")
     sim.add_argument("--out", help="report JSON path (default: stdout)")
     sim.add_argument("--samples-out", help="binary sample stream path")
-    sim.add_argument("--block-size", type=int, default=1 << 16,
+    sim.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                      help=f"rows per random block; below {_CHUNK_ROWS}, set-up "
                      "dominates and a warning goes to stderr")
     sim.add_argument("--precision", type=int, default=6, help="significant digits")

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .coeffs import Kind, SubsetFn, TdMatrix
+from .coeffs import Kind, SubsetFn, TdMatrix, check_dimension
 from .errors import MalformedInput
 from .rationals import Rat, rat, rat_str
 from .spectral import CutDecomposition, SemiMetric
@@ -43,9 +43,13 @@ def _get(data: Any, key: str, shape: str, default: Any = None) -> Any:
     return _shaped(_shaped(data, "object", "input").get(key, default), shape, f'"{key}"')
 
 
-def _mask(labels: Any) -> int:
-    labels = _shaped(labels, "array", "subset")
-    return mask_of(*(_shaped(k, "integer", "subset label") for k in labels))
+def _mask(labels: Any, p: int, what: str) -> int:
+    """Mask of a label list, each label checked against p before any shift."""
+    labels = _shaped(labels, "array", what)
+    ks = [_shaped(k, "integer", "subset label") for k in labels]
+    if any(k > p for k in ks):
+        raise MalformedInput(f"{what} {labels} out of range for p={p}")
+    return mask_of(*ks)
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +66,10 @@ def _entries_to_json(entries: Sequence[tuple[int, Rat]]) -> list[dict]:
 
 
 def _entries_from_json(items: Sequence[Mapping[str, Any]], p: int) -> dict[int, Rat]:
+    check_dimension(p)  # a huge "p" is refused before anything is sized by it
     out: dict[int, Rat] = {}
     for item in items:
-        mask = _mask(_get(item, "set", "array"))
-        if mask >= (1 << p):
-            raise MalformedInput(f"subset {item['set']} out of range for p={p}")
-        out[mask] = rat(str(item["value"]))
+        out[_mask(_get(item, "set", "array"), p, "subset")] = rat(str(item["value"]))
     return out
 
 
@@ -227,13 +229,7 @@ def read_samples_binary(path: str | Path) -> np.ndarray:
 
 def targets_from_json(data: Mapping[str, Any], p: int) -> tuple[list[int], list[int]]:
     def parse(items: Sequence[Sequence[int]]) -> list[int]:
-        masks = []
-        for labels in items:
-            mask = _mask(labels)
-            if mask >= (1 << p):
-                raise MalformedInput(f"target set {labels} out of range for p={p}")
-            masks.append(mask)
-        return masks
+        return [_mask(labels, p, "target set") for labels in items]
 
     lam, theta = (_get(data, key, "array", []) for key in ("lambda", "theta"))
     return parse(lam), parse(theta)

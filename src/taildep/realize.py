@@ -19,7 +19,6 @@ exactness here; the default size guard documents it rather than hiding it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -47,13 +46,11 @@ from .tm import TmModel, synthesize
 DEFAULT_MAX_P = 12  # p = 13 SDR answers took 3.3-76 s, median 37 s (BENCH_6.json)
 
 
-def _guard(p: int, max_p: int | None) -> None:
-    if max_p is None:
-        max_p = int(os.environ.get("TAILDEP_MAX_P") or DEFAULT_MAX_P)
+def _guard(p: int, max_p: int) -> None:
     if p > max_p:
         raise SizeLimitError(
             f"p={p} exceeds the decider guard {max_p}; the LP has ~2**p "
-            f"columns (raise max_p or TAILDEP_MAX_P to proceed anyway)"
+            f"columns (raise max_p / --max-p to proceed anyway)"
         )
 
 
@@ -111,7 +108,7 @@ def cut_system(d: SemiMetric) -> tuple[list[int], np.ndarray, list[Rat]]:
 # ---------------------------------------------------------------------------
 
 
-def decide_tdr(L: TdMatrix, *, max_p: int | None = None) -> FeasibilityOutcome:
+def decide_tdr(L: TdMatrix, *, max_p: int = DEFAULT_MAX_P) -> FeasibilityOutcome:
     """Decide realizability of a unit-diagonal bivariate coefficient matrix."""
     if not L.has_unit_diagonal():
         raise MalformedInput("TDR input must have unit diagonal")
@@ -177,7 +174,7 @@ def materialize_sdr_model(
 
 
 def decide_sdr(
-    d: SemiMetric, *, scale: RatLike | str = "auto", max_p: int | None = None
+    d: SemiMetric, *, scale: RatLike | str = "auto", max_p: int = DEFAULT_MAX_P
 ) -> FeasibilityOutcome:
     """Decide cut-cone membership of a semimetric; materialize on success."""
     _guard(d.p, max_p)

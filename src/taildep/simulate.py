@@ -50,32 +50,6 @@ DEFAULT_BLOCK_SIZE = 1 << 16
 _CHUNK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Reproducible sampling run: identical configs give bit-identical output."""
-
-    model: TmModel
-    n_samples: int
-    u: float
-    seed: int
-    block_size: int = DEFAULT_BLOCK_SIZE
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be >= 1")
-        if not self.u > 0:
-            raise DomainError("threshold u must be positive")
-        if self.block_size < 1:
-            raise DomainError("block_size must be >= 1")
-
-
-def sample_config(config: SimConfig) -> np.ndarray:
-    """Draw the sample stream described by a config, bit-reproducibly."""
-    return sample(
-        config.model, config.n_samples, config.seed, block_size=config.block_size
-    )
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -403,9 +377,7 @@ def marginal_ks_statistic(model: TmModel, samples: np.ndarray, component: int) -
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "SimConfig",
     "sample",
-    "sample_config",
     "EstimationRow",
     "EstimationReport",
     "estimate_lambda",

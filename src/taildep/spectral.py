@@ -10,10 +10,11 @@ weights: the pair {J, J^c} carries beta(J) + beta(J^c), and the full index
 set is pure slack (it never separates a pair).  This module validates
 semimetrics, extracts cut decompositions from models, recognizes line
 metrics, builds the unique model a line metric induces at given marginal
-scales, and decides decomposition uniqueness exactly: one linear program
-over the cut system, answered with a checked dual certificate when the
-decomposition is unique and with two differing decompositions when it is
-not.
+scales, and decides decomposition uniqueness exactly, answered with a
+checked dual certificate when the decomposition is unique and with two
+differing decompositions when it is not.  A line metric is decided in
+closed form, with no linear program; any other metric takes one over the
+cut system (phase one, then one warm-started maximization).
 
 The line path runs on integers.  A semimetric, a line certificate and a
 line model each hold their entries as integer numerators over one

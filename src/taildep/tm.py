@@ -28,6 +28,7 @@ import numpy as np
 from .coeffs import (
     Kind,
     SubsetFn,
+    _butterfly,
     beta_from_lambda,
     beta_from_theta,
     lambda_from_beta,
@@ -221,15 +222,11 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     masks, nums, den = model._support_numerators
     bits = [i for i in range(model.p) if subset >> i & 1]
     full = (1 << len(bits)) - 1
-    inside = [0] * (full + 1)
+    inside = np.zeros(full + 1, dtype=object)  # Python ints: no overflow
     for mask, num in zip(masks, nums):
         trace = sum(1 << t for t, i in enumerate(bits) if mask >> i & 1)
         inside[trace] += num
-    for t in range(len(bits)):
-        step = 1 << t
-        for cell in range(full + 1):
-            if cell & step:
-                inside[cell] += inside[cell ^ step]
+    inside = _butterfly(inside, len(bits), np.add, superset=False).tolist()
     total = inside[full]
     acc = 0.0
     for pick in range(full + 1):

@@ -520,16 +520,11 @@ def test_raw_kind_allows_negative():
     assert fn.negative_masks() == (1,)
 
 
-def test_soft_size_guard(monkeypatch):
-    # coefficient arrays have only the hard cap; TAILDEP_MAX_P guards the deciders
-    for env in (None, "12", "18"):
-        if env is None:
-            monkeypatch.delenv("TAILDEP_MAX_P", raising=False)
-        else:
-            monkeypatch.setenv("TAILDEP_MAX_P", env)
-        assert SubsetFn.zeros(17, Kind.BETA).p == 17
-        with pytest.raises(SizeLimitError):
-            SubsetFn.zeros(27, Kind.BETA)
+def test_soft_size_guard():
+    # coefficient arrays have only the hard cap; max_p guards the deciders
+    assert SubsetFn.zeros(17, Kind.BETA).p == 17
+    with pytest.raises(SizeLimitError):
+        SubsetFn.zeros(27, Kind.BETA)
 
 
 def test_hard_size_guard():

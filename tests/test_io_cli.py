@@ -13,6 +13,7 @@ from taildep.errors import MalformedInput
 from taildep.instances import line_fixture_model, random_beta
 from taildep.rationals import rat
 from taildep.spectral import SemiMetric, cut_decomposition
+from taildep.subsets import mask_of
 from taildep.tm import TmModel
 
 
@@ -136,13 +137,20 @@ class TestCliExitCodes:
     def test_invert_writes_exact_file(self, workdir, capsys):
         out = workdir / "beta.json"
         code = main(
-            ["invert", "--from", "lambda", "--to", "beta",
-             "--in", str(workdir / "l.json"), "--out", str(out)]
+            ["invert", "--to", "beta", "--in", str(workdir / "l.json"), "--out", str(out)]
         )
         assert code == 0
         data = json.loads(out.read_text())
         assert data["kind"] == "beta"
         assert all(e["value"] == "1/2" for e in data["entries"])
+
+    def test_invert_takes_the_source_kind_from_the_file(self, workdir, capsys):
+        # the file's "kind" is the only source: --from is gone, and a kind
+        # with no inversion to --to (here lambda -> lambda) exits 2
+        infile = str(workdir / "l.json")
+        for argv in (["--from", "lambda", "--to", "beta"], ["--to", "lambda"]):
+            assert main(["invert", *argv, "--in", infile]) == 2
+        assert "no inversion lambda -> lambda" in capsys.readouterr().err
 
     def test_tm_synth_negative_exit_3_with_witness(self, workdir, capsys):
         code = main(["tm", "synth", "--in", str(workdir / "bad_l.json")])
@@ -264,6 +272,25 @@ class TestCliExitCodes:
         assert warned[3].startswith("warning: --block-size 1 is below 4096")
         assert warned[3].count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--u", "0"), ("--u", "nan"), ("--n", "0"), ("--block-size", "0"), ("--precision", "-1")],
+    )
+    def test_simulate_bad_settings_exit_2_before_sampling(
+        self, workdir, capsys, flag, value
+    ):
+        bin_out = workdir / "bad.bin"
+        argv = {"--n": "100", "--u": "50", "--block-size": "64", flag: value}
+        code = main(
+            ["simulate", "--model", str(workdir / "model.json"),
+             *(tok for item in argv.items() for tok in item), "--samples-out", str(bin_out)]
+        )
+        assert code == 2
+        assert not bin_out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n, --u and --block-size must be positive and --precision")
+        assert "warning" not in err
+
     def test_unknown_command_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -288,6 +315,40 @@ class TestCliExitCodes:
         model = TmModel.from_entries(7, {1: 1})
         (tmp_path / "m7.json").write_text(json.dumps(tio.tm_model_to_json(model)))
         assert main(["report", "--model", str(tmp_path / "m7.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command", [["report", "--model"], ["simulate", "--n", "10", "--u", "1", "--model"]]
+    )
+    def test_huge_p_is_refused_before_any_shift(self, tmp_path, capsys, command):
+        # 1 << p at p = 2**28 is a 33 MB int, so the hard cap must come first
+        path = tmp_path / "huge.json"
+        path.write_text('{"p": 268435456, "beta": [{"set": [1], "value": "1/2"}]}')
+        assert main([*command, str(path)]) == 2
+        assert "p=268435456 exceeds the hard cap 26" in capsys.readouterr().err
+
+    def test_huge_subset_label_is_refused_before_any_shift(
+        self, workdir, tmp_path, capsys, monkeypatch
+    ):
+        # mask_of(2**40) would build a 128 GB int
+        def in_range_only(*labels):
+            if max(labels) > 3:
+                raise RuntimeError(f"mask_of got label {max(labels)}")
+            return mask_of(*labels)
+
+        monkeypatch.setattr(tio, "mask_of", in_range_only)
+        label = 1 << 40
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"p": 3, "beta": [{"set": [label], "value": "1"}]}))
+        targets = tmp_path / "t.json"
+        targets.write_text(json.dumps({"lambda": [[1], [label]]}))
+        samples = tmp_path / "s.bin"
+        assert main(["report", "--model", str(model)]) == 2
+        assert main(["simulate", "--model", str(workdir / "model.json"), "--n", "10",
+                     "--u", "1", "--targets", str(targets), "--samples-out", str(samples)]) == 2
+        assert not samples.exists()  # targets are read before sampling
+        err = capsys.readouterr().err
+        assert f"error: subset [{label}] out of range for p=3" in err
+        assert f"error: target set [{label}] out of range for p=3" in err
 
     def test_report_refuses_large_p_before_building_arrays(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -152,18 +152,21 @@ class TestDecideTdr:
         with pytest.raises(MalformedInput):
             decide_tdr(L)
 
-    def test_size_guard(self, monkeypatch):
-        monkeypatch.delenv("TAILDEP_MAX_P", raising=False)
+    def test_size_guard(self, tmp_path, capsys):
         L = TdMatrix.from_rows(
             [[1 if i == j else 0 for j in range(4)] for i in range(4)]
         )
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="p=4 exceeds the decider guard 3"):
             decide_tdr(L, max_p=3)
         assert decide_tdr(L, max_p=4).feasible
-        monkeypatch.setenv("TAILDEP_MAX_P", "3")
-        with pytest.raises(SizeLimitError):
-            decide_tdr(L)
-        monkeypatch.delenv("TAILDEP_MAX_P")
+        metric = [[1 - v for v in row] for row in L.lam]
+        for command, rows in (("td", L.lam), ("sdr", metric)):
+            path = tmp_path / f"{command}.csv"
+            path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+            argv = ["realize", command, "--in", str(path)]
+            assert main(argv + ["--max-p", "3"]) == 2
+            assert "p=4 exceeds the decider guard 3" in capsys.readouterr().err
+            assert main(argv + ["--max-p", "4"]) == 0
         big = DEFAULT_MAX_P + 1
         guard = f"p={big} exceeds the decider guard {DEFAULT_MAX_P}"
         with pytest.raises(SizeLimitError, match=guard):

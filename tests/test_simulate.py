@@ -20,7 +20,6 @@ from taildep.instances import comonotone_model, independence_model, line_fixture
 from taildep.rationals import rat
 from taildep.simulate import (
     DEFAULT_BLOCK_SIZE,
-    SimConfig,
     estimate_lambda,
     estimate_theta,
     estimation_report,
@@ -29,7 +28,6 @@ from taildep.simulate import (
     max_stability_check,
     max_stability_exponent_identity,
     sample,
-    sample_config,
     tv_distance,
 )
 from taildep.subsets import mask_of
@@ -280,15 +278,3 @@ class TestMaxStability:
     def test_nfold_must_be_at_least_two(self, line_model):
         with pytest.raises(DomainError):
             max_stability_check(line_model, 1, [(1.0, 1.0, 1.0)], n=100, seed=0)
-
-
-class TestSimConfig:
-    def test_validation(self, line_model):
-        with pytest.raises(DomainError):
-            SimConfig(line_model, 0, 1.0, 0)
-        with pytest.raises(DomainError):
-            SimConfig(line_model, 10, 0.0, 0)
-
-    def test_config_stream_matches_direct_call(self, line_model):
-        cfg = SimConfig(line_model, 5000, 10.0, seed=77)
-        assert np.array_equal(sample_config(cfg), sample(line_model, 5000, seed=77))

@@ -520,7 +520,7 @@ class TestUniquenessDecider:
         assert len(paired) == 2
         assert all(a is realize.cut_system(d)[1] for a, d in zip(paired, (line, cuts)))
 
-    def test_p10_line_phase_one_only_drives_out_artificials(self, monkeypatch):
+    def test_p10_line_builds_no_solver(self, monkeypatch):
         # regression guard by solver count, not time: the closed-form dual
         # leaves no phase one to run, where the all-artificial basis made 366
         # pivots on this metric
