@@ -39,23 +39,26 @@ keeps D positive.  This is the integer form of the revised simplex (Azulay
 exact revised simplex over rationals): a pivot costs O(m**2) integer
 operations instead of O(m * 2**p).
 
-Objective rows live in the same coordinates.  The phase-one row is
-z = z_art [A | I | b] and the phase-two reduced-cost row is
-rc = [c D | 0 | 0] + rc_art [A | I | b] (costs scaled to integers once), so
-only their artificial parts z_art, rc_art (and their right-hand-side
-entries) are kept and updated by the pivot formula.  Pricing is one exact
-vector-matrix product per pivot, z_art A or [rc_art, D] [A; c], whose
-first largest (smallest) entry enters.  A is stored once (``_Matrix``):
-the solver keeps the read-only int64 incidence that ``realize`` builds as
-it is, so a system exists once from its builder to its certificate check.
+The objective row is the last row of the same integer array.  The
+phase-one row is z = z_art [A | I | b] and the phase-two reduced-cost row
+is rc = [c D | 0 | 0] + rc_art [A | I | b] (costs scaled to integers once),
+so only their artificial and right-hand-side parts are kept, under R:
+T = [R | R b; z_art | z_rhs].  The entering column is one product
+T[:, :m] A_col, whose last entry is the priced entry (phase two adds
+D c_col); a pivot is one update of T by the formula above; pricing is one
+exact product of the stored row, z_art A or [rc_art, D] [A; c], whose
+first largest (smallest) entry enters.  A is stored once (``_Matrix``),
+as the read-only int64 incidence that ``realize`` builds.
 The integer arithmetic runs in int64 when a bound shows it fits (for a
-product, max|y| times the largest column sum of |A| below 2**63), as in
-``coeffs._store``, and in object arrays of Python ints otherwise, with two
-exceptions that keep the bulk of the work in int64 once the multipliers
-or R outgrow it: a product splits its vector into base-2**s digits whose
-products with A are exact in int64, and a pivot update whose products
-leave int64 while its quotients stay well inside it is computed from
-float64 estimates of the quotients, corrected in int64 (``_bareiss``).
+product, max|y| times the largest column sum of |A| below 2**63; one max|T|
+per pivot decides for all of T), as in ``coeffs._store``, and in object
+arrays of Python ints otherwise, with three exceptions that keep the bulk
+of the work in int64 once the multipliers or T outgrow it: a product splits
+its vector into base-2**s digits whose products with A are exact in int64;
+a pivot update whose products leave int64 while its quotients stay well
+inside it is computed from float64 estimates of the quotients, corrected
+in int64; and an objective row that alone needs Python ints is updated
+apart from R (``_bareiss``).
 Ratio and lexicographic tests compare entries of N by cross-multiplication,
 so no gcd is ever taken inside the loops; rationals are built only for the
 witness, the Farkas vector, the dual multipliers and the optimum value.
@@ -85,8 +88,7 @@ order).  The tableau rows (which contain an identity block on the basic
 columns) are totally ordered lexicographically after scaling by the pivot
 entry, so the leaving choice is always unique, no basis ever repeats, and
 the method terminates under any entering rule; this also keeps the heavily
-degenerate cut systems from stalling the way Bland's rule does.  Rows of
-R A are built only for the rows still tied, a block of columns at a time.
+degenerate cut systems from stalling the way Bland's rule does.
 All arithmetic is exact; there are no tolerances anywhere in this module.
 """
 
@@ -153,8 +155,10 @@ class _Matrix:
         """[M; row], int64 when both parts are."""
         return _Matrix(np.vstack([self.ints, _narrow(np.array([row], dtype=object))]))
 
-    def product(self, Y: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-        """Exact Y M[:, cols] for an integer Y (int64 or Python ints).
+    def product(self, Y: np.ndarray, cols: slice = slice(None),
+                top: int | None = None) -> np.ndarray:
+        """Exact Y M[:, cols] for an integer Y (int64 or Python ints); a
+        bound ``top`` >= max|Y| that already shows int64 fits spares max|Y|.
 
         With an int64 M and max|Y| * bound past int64, Y is split into
         base-2**s digits, each carrying its entry's sign, with
@@ -164,9 +168,10 @@ class _Matrix:
         M = self.ints[:, cols]
         if self.bound is None:
             return Y.astype(object) @ M
-        top = int(np.abs(Y).max(initial=0))
+        if top is None or top * self.bound > _INT64_MAX:
+            top = int(np.abs(Y).max(initial=0))
         if top * self.bound <= _INT64_MAX:
-            return Y.astype(np.int64) @ M
+            return Y.astype(np.int64, copy=False) @ M
         s = (_INT64_MAX // self.bound).bit_length() - 1
         Y = Y.astype(object)
         magnitude, mask = np.abs(Y), (1 << s) - 1
@@ -177,44 +182,55 @@ class _Matrix:
             out = (out << s) + (digit @ M).astype(object)
         return out
 
-    def extreme(self, y: list[int], largest: bool) -> tuple[int, int]:
+    def extreme(self, y, largest: bool, top: int | None = None) -> tuple[int, int]:
         """(j, v): the first column j where v = (y M)_j is largest (or
-        smallest)."""
-        values = self.product(_narrow(np.array([y], dtype=object)))[0]
-        j = int(np.argmax(values) if largest else np.argmin(values))
+        smallest); y is a 1 x k integer array or a list of ints."""
+        Y = y if isinstance(y, np.ndarray) else np.array([y], dtype=object)
+        values = self.product(Y, top=top)[0]
+        j = int(values.argmax() if largest else values.argmin())
         return j, int(values[j])
 
 
-def _bareiss(
-    R: np.ndarray, column: np.ndarray, prow: np.ndarray, piv: int, D: int
-) -> np.ndarray:
-    """(R * piv - column (x) prow) // D, where every division is exact.
+def _bareiss(R: np.ndarray, column: np.ndarray, prow: np.ndarray, piv: int, D: int,
+             top_r: int | None = None) -> np.ndarray:
+    """(R * piv - column (x) prow) // D, where every division is exact: in
+    int64 (``_fast``) for all of R, else for all rows but an objective row
+    past int64, which alone takes Python ints; else all in Python ints."""
+    out = _fast(R, column, prow, piv, D, top_r)
+    if out is None and len(R) > 1:
+        head = _fast(_narrow(R[:-1]), _narrow(column[:-1]), _narrow(prow), piv, D)
+        if head is not None:
+            return np.vstack([head, _bareiss(R[-1:], column[-1:], prow, piv, D)])
+    if out is None:
+        R, column, prow = R.astype(object), column.astype(object), prow.astype(object)
+        out = (R * piv - np.multiply.outer(column, prow)) // D
+    return out
 
-    An int64 R and column (so |piv| < 2**63) stay int64 while that is
-    exact.  With top = max|R| * max|column|, which bounds |a * piv| and
-    |f * c|: directly if 2 * top and D fit in int64.  Otherwise, if the
-    quotients are below 2**61, from their float64 estimates q, each within
-    2**-49 * top / D + 1/2 of the quotient (nine roundings of relative size
-    2**-53 at most), corrected by the remainder
-    R * piv - column (x) prow - q * D: int64 arithmetic gets it modulo
-    2**64, and it is exactly (quotient - q) * D, below 2**62 in magnitude.
-    Else in Python ints.
-    """
-    if R.dtype != object and column.dtype != object:
-        top = int(np.abs(R).max()) * int(np.abs(column).max())
-        if 2 * top <= _INT64_MAX and D <= _INT64_MAX:
-            return (R * piv - np.multiply.outer(column, prow)) // D
-        if top // D < 1 << 60 and (top >> 47) + 2 * D < 1 << 62:
-            floats = R.astype(np.float64) * float(piv) - np.multiply.outer(
-                column.astype(np.float64), prow.astype(np.float64)
-            )
-            estimate = np.rint(floats / float(D)).astype(np.int64)
-            remainder = R * piv - np.multiply.outer(column, prow) - estimate * D
-            if (remainder % D).any():
-                raise InternalError("inexact Bareiss quotient")
-            return estimate + remainder // D
-    R, column, prow = R.astype(object), column.astype(object), prow.astype(object)
-    return (R * piv - np.multiply.outer(column, prow)) // D
+
+def _fast(R: np.ndarray, column: np.ndarray, prow: np.ndarray, piv: int, D: int,
+          top_r: int | None = None) -> np.ndarray | None:
+    """(R * piv - column (x) prow) // D in int64, or None if that may not be
+    exact.  With top = max|R| * max|column| (``top_r`` is max|R| if the
+    caller has it), which bounds |a * piv| and |f * c|: directly if 2 * top
+    and D fit in int64.  Otherwise, if the quotients are below 2**61, from
+    their float64 estimates q, each within 2**-49 * top / D + 1/2 of the
+    quotient (nine roundings of relative size 2**-53 at most), corrected by
+    the remainder R * piv - column (x) prow - q * D: int64 arithmetic gets
+    it modulo 2**64, and it is exactly (quotient - q) * D, below 2**62."""
+    if R.dtype == object or column.dtype == object:
+        return None
+    top = (int(np.abs(R).max()) if top_r is None else top_r) * int(np.abs(column).max())
+    if 2 * top <= _INT64_MAX and D <= _INT64_MAX:
+        return (R * piv - np.multiply.outer(column, prow)) // D
+    if top // D < 1 << 60 and (top >> 47) + 2 * D < 1 << 62:
+        floats = R.astype(np.float64) * float(piv)
+        floats -= np.multiply.outer(column.astype(np.float64), prow.astype(np.float64))
+        estimate = np.rint(floats / float(D)).astype(np.int64)
+        remainder = R * piv - np.multiply.outer(column, prow) - estimate * D
+        if (remainder % D).any():
+            raise InternalError("inexact Bareiss quotient")
+        return estimate + remainder // D
+    return None
 
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
@@ -303,11 +319,14 @@ class ExactSimplex:
         if -1 in signs:
             A = _Matrix(A.ints * np.array(signs, dtype=A.ints.dtype)[:, None])
         self._A = A
-        # [R | R b] of the all-artificial basis: [I | b]
-        R = np.zeros((m, m + 1), dtype=object)
-        R[range(m), range(m)] = 1
-        R[:, m] = [abs(b) for b in b_nums]
-        self._R = _narrow(R)
+        # [R | R b] of the all-artificial basis, [I | b], over the phase-one
+        # row z / D = y' [A | I | b], y the costs of the basis: every artificial
+        # costs 1, so z starts as the column sums; z_rhs / D is infeasibility
+        T = np.zeros((m + 1, m + 1), dtype=object)
+        T[range(m), range(m)] = 1
+        T[:m, m] = [abs(b) for b in b_nums]
+        T[m] = T[:m].sum(axis=0)
+        self._hold(T)
         self._D = 1
         self._basis = [self.n + i for i in range(m)]
         self.farkas: list | None = None
@@ -320,47 +339,36 @@ class ExactSimplex:
 
     # -- shared pivot machinery --------------------------------------------
 
+    def _hold(self, T: np.ndarray) -> None:
+        """Keep T, int64 if it fits, and max|T| (None for Python ints)."""
+        self._T = T = _narrow(T)
+        self._top = None if T.dtype == object else int(np.abs(T).max())
+
     def _column(self, col: int) -> np.ndarray:
-        """N[:, col] = R A_col, the entering column's tableau entries; in
-        int64 when max|R| * bound fits, else in Python ints."""
-        A = self._A.ints
-        hits = np.flatnonzero(A[:, col])
-        values = A[hits, col]
-        R = self._R[:, hits]
-        if (R.dtype == values.dtype == np.int64 and self._A.bound is not None
-                and int(np.abs(R).max(initial=0)) * self._A.bound <= _INT64_MAX):
-            return R @ values
-        return _narrow(R.astype(object) @ values.astype(object))
+        """T[:, :m] A_col: the entering column N[:, col] over the objective
+        row's entry (without phase two's D c_col); int64 if max|T| * bound fits."""
+        T, a, bound = self._T[:, :-1], self._A.ints[:, col], self._A.bound
+        if self._top is not None and bound is not None and self._top * bound <= _INT64_MAX:
+            return T @ a
+        hits = np.flatnonzero(a)
+        return _narrow(T[:, hits].astype(object) @ a[hits].astype(object))
 
-    def _pivot(
-        self, leave: int, col: int, column: np.ndarray, obj: list | None = None, f: int = 0
-    ) -> list | None:
-        """Integer-preserving pivot on column[leave] = N[leave][col].
-
-        Returns the objective row ``obj`` (its artificial and right-hand-side
-        part) updated the same way; ``f`` is its priced entry at ``col``.
-        Rows are replaced, never written in place, so copies share R.
-        """
-        R = self._R
-        D = self._D
-        prow = R[leave]
+    def _pivot(self, leave: int, col: int, column: np.ndarray) -> None:
+        """Integer-preserving pivot on column[leave] = N[leave][col], one update
+        of all of T: ``column`` ends with the objective row's priced entry.
+        T is replaced, never written in place, so copies share it."""
+        prow = self._T[leave]
         if prow[-1] == 0:
             self.stats.degenerate_pivots += 1
         piv = int(column[leave])
         if piv < 0:
-            prow = -prow
-            piv = -piv
-        R = _bareiss(R, column, prow, piv, D)
-        R[leave] = prow
-        self._R = _narrow(R)
+            prow, piv = -prow, -piv
+        T = _bareiss(self._T, column, prow, piv, self._D, self._top)
+        T[leave] = prow
+        self._hold(T)
         self._D = piv
         self.stats.d_bits = max(self.stats.d_bits, piv.bit_length())
         self._basis[leave] = col
-        if obj is None:
-            return None
-        if f:
-            return [(a * piv - f * c) // D for a, c in zip(obj, prow.tolist())]
-        return [a * piv // D for a in obj]
 
     def _ratio_test(self, column: list[int]) -> int:
         """Lexicographic leaving row, or -1 if the column is unbounded.
@@ -373,55 +381,48 @@ class ExactSimplex:
         of a row is R[i] A, built only for the rows still tied, a block of
         columns at a time (``_scan``).
         """
-        R = self._R
-        m = R.shape[1] - 1
+        T, m = self._T, self._T.shape[1] - 1
         cands = [i for i, a in enumerate(column) if a > 0]
         if not cands:
             return -1
         if len(cands) > 1:
-            cands = _smallest(cands, column, R[cands, m].tolist())
+            cands = _smallest(cands, column, T[cands, m].tolist())
         for start in range(0, self.n, _BLOCK):
             if len(cands) == 1:
                 break
-            block = self._A.product(R[cands, :m], slice(start, start + _BLOCK))
+            block = self._A.product(T[cands, :m], slice(start, start + _BLOCK), self._top)
             cands = _scan(cands, column, block)
         if len(cands) > 1:
-            cands = _scan(cands, column, R[cands, :m])
+            cands = _scan(cands, column, T[cands, :m])
         return cands[0]
 
-    def _enter(self, col: int, obj: list, f: int) -> list | None:
-        """Pivot ``col`` into the basis; None if no row limits it."""
+    def _enter(self, col: int, f: int) -> bool:
+        """Pivot ``col``, priced ``f``, into the basis; False if no row limits it."""
         column = self._column(col)
-        leave = self._ratio_test(column.tolist())
-        if leave < 0:
-            return None
-        return self._pivot(leave, col, column, obj, f)
+        if column[-1] != f:  # phase two: f adds D c_col
+            column = _narrow(np.concatenate([column[:-1], np.array([f], dtype=object)]))
+        leave = self._ratio_test(column[:-1].tolist())
+        if leave >= 0:
+            self._pivot(leave, col, column)
+        return leave >= 0
 
     # -- phase one -----------------------------------------------------------
 
     def _phase_one(self, m: int) -> bool:
-        n = self.n
-        # z / D = y' [A | I | b] of the scaled system for the running
-        # multipliers y = costs of the artificial basis; only [z_art | z_rhs]
-        # is kept, and z_struct = z_art A is priced.  It starts as the
-        # column sums: every artificial has cost 1.  z_rhs / D is the
-        # residual infeasibility.
-        z = [1] * m + [sum(self._R[:, m].tolist())]
-        while n:
-            col, best = self._A.extreme(z[:m], largest=True)
+        while self.n:
+            col, best = self._A.extreme(self._T[-1:, :m], largest=True, top=self._top)
             if best <= 0:
                 break  # optimal
-            z = self._enter(col, z, best)
-            if z is None:
+            if not self._enter(col, best):
                 # Cannot happen: the phase-one objective is bounded below by 0.
                 raise TaildepError("phase-one ratio test failed")
             self.stats.phase_one_pivots += 1
-        if z[-1] > 0:
-            # Infeasible: the multipliers are the artificial part.
-            D = self._D
-            self.farkas = [Rat(s * z[i], D) for i, s in enumerate(self._signs)]
-            return False
-        return True
+        z = self._T[-1].tolist()
+        if z[-1] <= 0:
+            return True
+        # Infeasible: the multipliers are the artificial part.
+        self.farkas = [Rat(s * z[i], self._D) for i, s in enumerate(self._signs)]
+        return False
 
     def _eliminate_artificials(self) -> None:
         """Drive artificial variables out of the basis; drop redundant rows.
@@ -432,24 +433,23 @@ class ExactSimplex:
         rows keep their artificial part R for the dual read-out.
         """
         n = self.n
-        m = len(self._R)
+        m = len(self._basis)
         keep = []
         for i in range(m):
             if self._basis[i] >= n:
-                entries = np.flatnonzero(self._A.product(self._R[i : i + 1, :m])[0])
+                entries = np.flatnonzero(self._A.product(self._T[i : i + 1, :m])[0])
                 if not entries.size:
                     continue  # redundant row
                 col = int(entries[0])
                 self._pivot(i, col, self._column(col))
                 self.stats.phase_one_pivots += 1
             keep.append(i)
-        self._R = self._R[keep]
+        self._hold(self._T[keep + [m]])
         self._basis = [self._basis[i] for i in keep]
 
     def copy(self) -> "ExactSimplex":
         """An independent solver at the same basis; optimizing one leaves the
-        other where it was.  Pivots replace R rather than write into it, so
-        R (and the read-only A) are shared."""
+        other where it was.  Pivots replace T (shared, as is A), never write it."""
         twin = object.__new__(ExactSimplex)
         twin.__dict__.update(self.__dict__)
         twin._basis = list(self._basis)
@@ -463,45 +463,45 @@ class ExactSimplex:
             raise TaildepError("no witness: system is infeasible")
         x = [ZERO] * self.n
         D = self._D
-        for v, j in zip(self._R[:, -1].tolist(), self._basis):
+        for v, j in zip(self._T[:-1, -1].tolist(), self._basis):
             x[j] = Rat(v * self._scale_a, D * self._scale_b)
         return x
 
     # -- phase two ---------------------------------------------------------------
 
     def minimize(self, costs: Sequence) -> tuple[Rat, list]:
-        """Minimize c' x over the feasible region, warm-started; exact optimum."""
+        """Minimize c' x over the feasible region, warm-started; exact optimum.
+
+        The last row of T becomes -c_B' [R | R b], the kept part of the row
+        rc / (scale * D) = c - c_B' B^-1 [A | I | b] (zero cost on the
+        artificials and on b: the reduced costs, minus the multipliers, then
+        minus the objective value); [rc_art, D] [A; c] is priced."""
         if not self.feasible:
             raise TaildepError("cannot optimize an infeasible system")
         if len(costs) != self.n:
             raise ValueError(f"expected {self.n} costs, got {len(costs)}")
         start = time.perf_counter()
-        n = self.n
-        signs = self._signs
-        m = len(signs)
+        m = len(self._signs)
         c, scale = to_common_numerators([_exact(v) for v in costs])
-        # rc / (scale * D) = c - c_B' B^-1 [A | I | b] of the scaled system,
-        # with zero cost on the artificials and on b: the reduced costs,
-        # minus the multipliers, then minus the objective value in the
-        # scaled variables.  Only [rc_art | rc_rhs] = -c_B' [R | R b] is
-        # kept; rc_struct = [rc_art, D] [A; c] is priced.
+        R = self._T[:-1]
         c_basic = np.array([-c[j] for j in self._basis], dtype=object)
-        rc = (c_basic @ self._R).tolist() if len(c_basic) else [0] * (m + 1)
+        self._hold(np.vstack([R, (c_basic @ R)[None]]))
         priced = self._A.stacked(c)
         try:
-            while n:
-                col, best = priced.extreme(rc[:m] + [self._D], largest=False)
+            while self.n:
+                y = np.concatenate([self._T[-1:, :m], np.array([[self._D]], dtype=object)], axis=1)
+                col, best = priced.extreme(y, largest=False)
                 if best >= 0:
                     break
-                rc = self._enter(col, rc, best)
-                if rc is None:
+                if not self._enter(col, best):
                     raise UnboundedObjective("objective unbounded over the feasible cone")
                 self.stats.phase_two_pivots += 1
         finally:
             self.stats.phase_two_s += time.perf_counter() - start
         D = self._D
+        rc = self._T[-1].tolist()
         # Undo the row signs and the two scalings: y_i of the original rows.
-        self.dual = [Rat(-s * rc[i] * self._scale_a, scale * D) for i, s in enumerate(signs)]
+        self.dual = [Rat(-s * rc[i] * self._scale_a, scale * D) for i, s in enumerate(self._signs)]
         value = Rat(-rc[-1] * self._scale_a, scale * D * self._scale_b)
         return value, self.witness()
 

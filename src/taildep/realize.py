@@ -19,7 +19,7 @@ exactness here; the default size guard documents it rather than hiding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from .errors import (
     ScaleTooSmall,
     SizeLimitError,
 )
-from .lp import ExactSimplex
+from .lp import ExactSimplex, SimplexStats
 from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
 from .spectral import CutDecomposition, SemiMetric
 from .subsets import canonical_cuts, full_mask
@@ -67,7 +67,8 @@ class FeasibilityOutcome:
     raw cut weights live in ``cuts`` and ``witness_beta``/``model`` hold the
     materialized equal-margin model).  INFEASIBLE: ``farkas`` is a row
     multiplier vector with nonpositive pairing against every variable
-    column and positive pairing against the right-hand side.
+    column and positive pairing against the right-hand side.  ``stats`` is
+    the solver's account of its work; it takes no part in equality.
     """
 
     problem: str  # "tdr" | "sdr"
@@ -79,6 +80,7 @@ class FeasibilityOutcome:
     cuts: CutDecomposition | None = None
     scale: Rat | None = None  # SDR: the materialized common marginal scale
     farkas: tuple | None = None
+    stats: SimplexStats | None = field(default=None, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -118,7 +120,7 @@ def decide_tdr(L: TdMatrix, *, max_p: int = DEFAULT_MAX_P) -> FeasibilityOutcome
     pairs = tuple(tdr_rows(L.p))
     if not lp.feasible:
         return FeasibilityOutcome(
-            "tdr", Status.INFEASIBLE, L.p, pairs, farkas=tuple(lp.farkas)
+            "tdr", Status.INFEASIBLE, L.p, pairs, farkas=tuple(lp.farkas), stats=lp.stats
         )
     x = lp.witness()
     beta = SubsetFn.from_values(L.p, x, Kind.BETA)
@@ -129,7 +131,7 @@ def decide_tdr(L: TdMatrix, *, max_p: int = DEFAULT_MAX_P) -> FeasibilityOutcome
     if not (isinstance(resynth, TmModel) and resynth.beta == beta):
         raise InternalError("TDR witness does not survive resynthesis")
     return FeasibilityOutcome(
-        "tdr", Status.FEASIBLE, L.p, pairs, witness_beta=beta, model=model
+        "tdr", Status.FEASIBLE, L.p, pairs, witness_beta=beta, model=model, stats=lp.stats
     )
 
 
@@ -183,7 +185,7 @@ def decide_sdr(
     lp = ExactSimplex(A, rhs)
     if not lp.feasible:
         return FeasibilityOutcome(
-            "sdr", Status.INFEASIBLE, d.p, pairs, farkas=tuple(lp.farkas)
+            "sdr", Status.INFEASIBLE, d.p, pairs, farkas=tuple(lp.farkas), stats=lp.stats
         )
     weights = lp.witness()
     c = sdr_auto_scale(d) if scale == "auto" else rat(scale)
@@ -197,6 +199,7 @@ def decide_sdr(
         model=model,
         cuts=cuts,
         scale=c,
+        stats=lp.stats,
     )
 
 

@@ -1,11 +1,12 @@
 """Realizability deciders: ground truth both ways, certificates, reduction."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from taildep.cli import main
+from taildep.cli import _outcome_payload, main
 from taildep.coeffs import TdMatrix, lambda_from_beta
 from taildep.errors import (
     CertificateRejected,
@@ -25,6 +26,7 @@ from taildep.instances import (
     random_unit_margin_beta,
     violate_triangle,
 )
+from taildep.lp import ExactSimplex
 from taildep.rationals import rat
 from taildep.realize import (
     DEFAULT_MAX_P,
@@ -514,3 +516,31 @@ def test_materialized_equal_margins_at_auto_scale(rng):
         scales = out.model.marginal_scales() if not out.model.is_degenerate else ()
         for s in scales:
             assert s == c
+
+
+def _stats_cases():
+    rng = random.Random(17)
+    L = pair_matrix_from_beta(random_unit_margin_beta(5, rng))
+    yield pytest.param(decide_tdr, L, tdr_system, Status.FEASIBLE, id="tdr-feasible")
+    yield pytest.param(
+        decide_tdr, violate_triangle(L, rng), tdr_system, Status.INFEASIBLE, id="tdr-infeasible"
+    )
+    yield pytest.param(
+        decide_sdr, random_cut_metric(6, rng), cut_system, Status.FEASIBLE, id="sdr-feasible"
+    )
+    yield pytest.param(decide_sdr, k23_metric(), cut_system, Status.INFEASIBLE, id="sdr-infeasible")
+
+
+@pytest.mark.parametrize("decide, instance, system, status", list(_stats_cases()))
+def test_outcome_carries_the_solver_stats(decide, instance, system, status):
+    out = decide(instance)
+    assert out.status is status
+    _, A, rhs = system(instance)
+    fresh = ExactSimplex(A, rhs).stats
+    assert out.stats.phase_one_pivots == fresh.phase_one_pivots > 0
+    for name in ("phase_two_pivots", "degenerate_pivots", "d_bits"):
+        assert getattr(out.stats, name) == getattr(fresh, name), name
+    # the stats take no part in equality, nor in the CLI's JSON
+    bare = replace(out, stats=None)
+    assert bare == out
+    assert _outcome_payload(bare) == _outcome_payload(out)
