@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from pathlib import Path
@@ -213,9 +214,10 @@ def _cmd_realize_sdr(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     model = tio.tm_model_from_json(tio.read_json(args.model))
     # settings and targets are checked before any warning, draw or file write
-    if args.n < 1 or not args.u > 0 or args.block_size < 1 or args.precision < 0:
+    if args.n < 1 or not 0 < args.u < math.inf or args.block_size < 1 or args.precision < 0:
         raise DomainError(f"--n, --u and --block-size must be positive and --precision "
-                          f">= 0, got {args.n}, {args.u}, {args.block_size}, {args.precision}")
+                          f">= 0 (--u also finite), got {args.n}, {args.u}, "
+                          f"{args.block_size}, {args.precision}")
     if args.targets:
         lam_t, th_t = tio.targets_from_json(tio.read_json(args.targets), model.p)
     elif model.p <= 6:
@@ -230,8 +232,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     xs = sample(model, args.n, args.seed, args.block_size)
     if args.samples_out:
         tio.write_samples_binary(args.samples_out, xs)
-    rep = estimation_report(model, xs, args.u, lam_t, th_t)
     hist = exceedance_set_histogram(xs, args.u)
+    rep = estimation_report(model, hist, lam_t, th_t)
     dist = exceedance_set_dist(model) if not model.is_degenerate else None
     digits = args.precision
     payload = {

@@ -22,10 +22,23 @@ per available CPU (numpy's generator fills and ufuncs release the GIL)
 and write disjoint slices of the output, so the bytes returned depend on
 (model, n, seed, block size) only, never on the thread count or the
 chunk size.
+
+Every coefficient estimate is read off the exceedance-set histogram.  The
+extremal coefficients are functionals of the random exceedance set
+{i : X_i > u} (the paper's exceedance-set characterisation), so one pass
+over the samples counts each distinct nonempty set M, and each target is
+a sum over those sets:
+
+    lambda(L) hits = sum of count(M) over M containing L   (M & L == L)
+    theta(K) hits  = sum of count(M) over M meeting K      (M & K != 0)
+
+Each sum runs vectorized over the observed sets, at most min(n, 2**p - 1)
+of them, with no 2**p table, so it works up to HARD_MAX_P.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -164,67 +177,64 @@ class EstimationReport:
     rows: tuple
 
 
-def _estimate(
-    kind: str, model: TmModel, exc: np.ndarray, subset: int, u: float
-) -> EstimationRow:
-    """One row from the exceedance matrix exc = samples > u.
+def _check_threshold(u: float) -> None:
+    if not 0 < u < math.inf:
+        raise DomainError(f"threshold u must be positive and finite, got {u}")
 
-    Samples are never NaN, so "all of the subset's columns exceed u" is
-    min > u and "some column exceeds u" is max > u.
-    """
-    if not u > 0:
-        raise DomainError("threshold u must be positive")
-    bits = [i for i in range(model.p) if subset >> i & 1]
-    if not bits:
-        raise DomainError("subset must be nonempty")
-    n = exc.shape[0]
-    cols = exc[:, bits]
-    if kind == "lambda":
-        hits = np.count_nonzero(cols.all(axis=1))
-        exact = exact_joint_exceedance(model, subset, u)
-        limit = model.lambda_of(subset)
-    else:
-        hits = np.count_nonzero(cols.any(axis=1))
-        exact = exact_union_exceedance(model, subset, u)
-        limit = model.theta_of(subset)
-    phat = hits / n
-    return EstimationRow(
-        kind=kind,
-        subset=subset,
-        u=u,
-        n=n,
-        empirical=u * phat,
-        exact_finite_u=u * exact,
-        asymptotic=float(limit),
-        std_error=u * float(np.sqrt(phat * (1 - phat) / n)),
-    )
+
+def estimation_report(
+    model: TmModel,
+    hist: ExceedanceHistogram,
+    lambda_subsets: Sequence[int] = (),
+    theta_subsets: Sequence[int] = (),
+) -> EstimationReport:
+    """One row per target; its hits are a sum over the histogram's sets (module docstring)."""
+    _check_threshold(hist.u)
+    if hist.p != model.p:
+        raise DomainError(f"histogram has p={hist.p} but the model has p={model.p}")
+    u, n = hist.u, hist.n_total
+    table = np.array(hist.counts, dtype=np.int64).reshape(-1, 2)
+    masks, counts = table[:, 0], table[:, 1]
+    rows = []
+    for kind, subsets in (("lambda", lambda_subsets), ("theta", theta_subsets)):
+        for subset in subsets:
+            if not 0 < subset < 1 << model.p:
+                raise DomainError(f"subset mask {subset} out of range for p={model.p}")
+            common = masks & subset
+            if kind == "lambda":
+                hits = counts[common == subset].sum()
+                exact = exact_joint_exceedance(model, subset, u)
+                limit = model.lambda_of(subset)
+            else:
+                hits = counts[common != 0].sum()
+                exact = exact_union_exceedance(model, subset, u)
+                limit = model.theta_of(subset)
+            phat = hits / n
+            rows.append(EstimationRow(
+                kind=kind,
+                subset=subset,
+                u=u,
+                n=n,
+                empirical=u * phat,
+                exact_finite_u=u * exact,
+                asymptotic=float(limit),
+                std_error=u * float(np.sqrt(phat * (1 - phat) / n)),
+            ))
+    return EstimationReport(u=u, n=n, rows=tuple(rows))
 
 
 def estimate_lambda(
     model: TmModel, samples: np.ndarray, subset: int, u: float
 ) -> EstimationRow:
     """u * fraction of samples with every component of the subset above u."""
-    return _estimate("lambda", model, samples > u, subset, u)
+    return estimation_report(model, exceedance_set_histogram(samples, u), [subset]).rows[0]
 
 
 def estimate_theta(
     model: TmModel, samples: np.ndarray, subset: int, u: float
 ) -> EstimationRow:
     """u * fraction of samples with some component of the subset above u."""
-    return _estimate("theta", model, samples > u, subset, u)
-
-
-def estimation_report(
-    model: TmModel,
-    samples: np.ndarray,
-    u: float,
-    lambda_subsets: Sequence[int] = (),
-    theta_subsets: Sequence[int] = (),
-) -> EstimationReport:
-    exc = samples > u
-    rows = [_estimate("lambda", model, exc, s, u) for s in lambda_subsets]
-    rows += [_estimate("theta", model, exc, s, u) for s in theta_subsets]
-    return EstimationReport(u=u, n=samples.shape[0], rows=tuple(rows))
+    return estimation_report(model, exceedance_set_histogram(samples, u), (), [subset]).rows[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +261,7 @@ class ExceedanceHistogram:
 def exceedance_set_histogram(
     samples: np.ndarray, u: float
 ) -> ExceedanceHistogram:
-    if not u > 0:
-        raise DomainError("threshold u must be positive")
+    _check_threshold(u)
     n, p = samples.shape
     if p > HARD_MAX_P:
         raise DomainError(f"p={p} exceeds the hard cap {HARD_MAX_P}")

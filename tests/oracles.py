@@ -3,11 +3,14 @@
 Everything here is written as the naive O(4**p) double loop straight off the
 defining sums, deliberately sharing no code with the transforms under test.
 The sampler and exact-law references are earlier, plainer implementations
-kept to pin that the faster ones return the same bytes; the rigidity
-reference is the objective-cycling probe that the exact uniqueness decider
-replaced, kept to pin that the decider reports what it reported; the dense
-simplex is the Bareiss tableau that the revised simplex in ``lp`` replaced,
-kept to pin that it makes the same pivots; the line-metric references are
+kept to pin that the faster ones return the same bytes; the estimator
+reference counts each target's hits with its own gather over every sample,
+as the estimators did before they read the exceedance-set histogram, kept
+to pin that they report the same rows; the rigidity reference is the
+objective-cycling probe that the exact uniqueness decider replaced, kept to
+pin that the decider reports what it reported; the dense simplex is the
+Bareiss tableau that the revised simplex in ``lp`` replaced, kept to pin
+that it makes the same pivots; the line-metric references are
 the ``Fraction`` versions of detection, the line model and the collapse of
 higher-order coefficients that the integer ones replaced, kept to pin that
 those return the same values of the same types; the instance references
@@ -38,7 +41,8 @@ from taildep.spectral import (
     RigidityReport,
     SemiMetric,
 )
-from taildep.tm import TmModel
+from taildep.simulate import EstimationRow
+from taildep.tm import TmModel, exact_joint_exceedance, exact_union_exceedance
 
 
 def brute_lambda_from_beta(beta: SubsetFn) -> SubsetFn:
@@ -215,6 +219,38 @@ def reference_joint_exceedance(model, subset: int, u: float) -> float:
         term = math.expm1(-float(theta_s) / u)
         acc += term if pick.bit_count() % 2 == 0 else -term
     return acc
+
+
+def reference_estimate(
+    kind: str, model, samples: np.ndarray, subset: int, u: float
+) -> EstimationRow:
+    """The per-column estimator: one gather over every row of samples > u per target.
+
+    Samples are never NaN, so "all of the subset's columns exceed u" is
+    min > u and "some column exceeds u" is max > u.
+    """
+    bits = [i for i in range(model.p) if subset >> i & 1]
+    n = samples.shape[0]
+    cols = (samples > u)[:, bits]
+    if kind == "lambda":
+        hits = np.count_nonzero(cols.all(axis=1))
+        exact = exact_joint_exceedance(model, subset, u)
+        limit = model.lambda_of(subset)
+    else:
+        hits = np.count_nonzero(cols.any(axis=1))
+        exact = exact_union_exceedance(model, subset, u)
+        limit = model.theta_of(subset)
+    phat = hits / n
+    return EstimationRow(
+        kind=kind,
+        subset=subset,
+        u=u,
+        n=n,
+        empirical=u * phat,
+        exact_finite_u=u * exact,
+        asymptotic=float(limit),
+        std_error=u * float(np.sqrt(phat * (1 - phat) / n)),
+    )
 
 
 def reference_rigidity_probe(d, trials: int = 20, seed: int = 0) -> RigidityReport:

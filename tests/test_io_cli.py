@@ -274,7 +274,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--u", "0"), ("--u", "nan"), ("--n", "0"), ("--block-size", "0"), ("--precision", "-1")],
+        [("--u", "0"), ("--u", "nan"), ("--u", "inf"), ("--n", "0"), ("--block-size", "0"),
+         ("--precision", "-1")],
     )
     def test_simulate_bad_settings_exit_2_before_sampling(
         self, workdir, capsys, flag, value

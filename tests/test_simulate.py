@@ -13,13 +13,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import reference_sample
+from oracles import reference_estimate, reference_sample
 from taildep import simulate
 from taildep.errors import DegenerateModel, DomainError
 from taildep.instances import comonotone_model, independence_model, line_fixture_model
 from taildep.rationals import rat
 from taildep.simulate import (
     DEFAULT_BLOCK_SIZE,
+    ExceedanceHistogram,
     estimate_lambda,
     estimate_theta,
     estimation_report,
@@ -187,7 +188,8 @@ class TestEstimators:
         for seed in range(reps):
             xs = sample(line_model, 20_000, seed=1000 + seed)
             rep = estimation_report(
-                line_model, xs, 40.0, lambda_subsets=[mask_of(1, 2)], theta_subsets=[7]
+                line_model, exceedance_set_histogram(xs, 40.0),
+                lambda_subsets=[mask_of(1, 2)], theta_subsets=[7],
             )
             misses += any(row.deviation_in_se() > 4.0 for row in rep.rows)
         assert misses <= 1
@@ -197,7 +199,7 @@ class TestEstimators:
         xs = sample(model, 50_000, seed=4)
         lam = [1 << i for i in range(8)] + [255, 0b1011]
         theta = [255, 0b110]
-        rep = estimation_report(model, xs, 3.0, lam, theta)
+        rep = estimation_report(model, exceedance_set_histogram(xs, 3.0), lam, theta)
         expected = [estimate_lambda(model, xs, s, 3.0) for s in lam]
         expected += [estimate_theta(model, xs, s, 3.0) for s in theta]
         assert list(rep.rows) == expected
@@ -208,6 +210,66 @@ class TestEstimators:
             estimate_lambda(line_model, xs, 1, 0.0)
         with pytest.raises(DomainError):
             estimate_lambda(line_model, xs, 0, 1.0)
+
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, line_model, u):
+        # an infinite u used to give u * 0 = nan as the estimate
+        xs = sample(line_model, 100, seed=0)
+        with pytest.raises(DomainError):
+            estimate_lambda(line_model, xs, 1, u)
+        with pytest.raises(DomainError):
+            estimate_theta(line_model, xs, 1, u)
+        with pytest.raises(DomainError):
+            exceedance_set_histogram(xs, u)
+        hist = ExceedanceHistogram(p=3, u=u, n_total=100, n_nonempty=0, counts=())
+        with pytest.raises(DomainError):
+            estimation_report(line_model, hist, [1])
+
+    def test_report_rejects_other_p_and_subsets_outside_p(self, line_model):
+        hist = exceedance_set_histogram(sample(line_model, 100, seed=0), 1.0)
+        with pytest.raises(DomainError):
+            estimation_report(_p8_model(), hist, [1])
+        for subset in (0, 8, 9, -1):
+            with pytest.raises(DomainError):
+                estimation_report(line_model, hist, [subset])
+            with pytest.raises(DomainError):
+                estimation_report(line_model, hist, (), [subset])
+
+
+def _covering_model(p, rng):
+    """Random atoms plus the full set, so every component is positive."""
+    full = (1 << p) - 1
+    masks = {full} | {rng.randrange(1, full + 1) for _ in range(3 * p)}
+    return TmModel.from_entries(p, {m: rat(rng.randint(1, 16), 16) for m in masks})
+
+
+class TestEstimatorsMatchPerColumnCounts:
+    """Rows read off the histogram equal the per-column reference, field for field."""
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_rows_equal_reference(self, p):
+        rng = random.Random(500 + p)
+        model = _covering_model(p, rng)
+        n = 4000
+        xs = sample(model, n, seed=p)
+        full = (1 << p) - 1
+        if p <= 6:
+            targets = list(range(1, full + 1))
+        else:
+            targets = sorted({rng.randrange(1, full) for _ in range(40)} | {full})
+        # an ordinary u, one no sample exceeds (strict >) and one every
+        # component of every sample exceeds
+        us = (2.0, float(xs.max()), float(xs.min()) / 2)
+        nonempty = []
+        for u in us:
+            hist = exceedance_set_histogram(xs, u)
+            nonempty.append(hist.n_nonempty)
+            rep = estimation_report(model, hist, targets, targets)
+            expected = [reference_estimate("lambda", model, xs, s, u) for s in targets]
+            expected += [reference_estimate("theta", model, xs, s, u) for s in targets]
+            assert list(rep.rows) == expected
+            assert (rep.u, rep.n) == (u, n)
+        assert 0 < nonempty[0] and nonempty[1:] == [0, n]
 
 
 class TestExceedanceHistogram:
