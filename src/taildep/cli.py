@@ -37,6 +37,8 @@ from .coeffs import (
     beta_from_theta,
     lambda_from_beta,
     lambda_from_theta,
+    sdr_rows,
+    tdr_rows,
     theta_from_beta,
     theta_from_lambda,
 )
@@ -176,11 +178,12 @@ def _cmd_linemetric(args: argparse.Namespace) -> int:
 
 
 def _outcome_payload(outcome) -> dict:
+    rows = tdr_rows if outcome.problem == "tdr" else sdr_rows
     payload: dict = {
         "problem": outcome.problem,
         "status": outcome.status.value,
         "p": outcome.p,
-        "rows": [[i + 1, j + 1] for i, j in outcome.row_pairs],
+        "rows": [[i + 1, j + 1] for i, j in rows(outcome.p)],
     }
     if outcome.status is Status.FEASIBLE:
         if outcome.model is not None:

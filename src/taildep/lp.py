@@ -184,9 +184,8 @@ class _Matrix:
 
     def extreme(self, y, largest: bool, top: int | None = None) -> tuple[int, int]:
         """(j, v): the first column j where v = (y M)_j is largest (or
-        smallest); y is a 1 x k integer array or a list of ints."""
-        Y = y if isinstance(y, np.ndarray) else np.array([y], dtype=object)
-        values = self.product(Y, top=top)[0]
+        smallest); y is a 1 x k integer array."""
+        values = self.product(y, top=top)[0]
         j = int(values.argmax() if largest else values.argmin())
         return j, int(values[j])
 

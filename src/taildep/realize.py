@@ -11,10 +11,15 @@ it a nonnegative combination of cut semimetrics?
 
 Both are decided by exact rational LP feasibility over the full exponential
 variable set, so answers on the realizability boundary are trustworthy.
-Every answer ships with an independently checkable certificate: a weight
-vector satisfying the constraints exactly, or a Farkas vector proving no
-such weights exist.  The exponential column count is the honest price of
-exactness here; the default size guard documents it rather than hiding it.
+Every answer ships with an independently checkable certificate: a witness
+model (for SDR also its cut weights) satisfying the constraints exactly, or
+a Farkas vector proving no such weights exist.  An SDR model at common
+marginal scale s is itself a TDR witness, for lambda_ij = s - d_ij / 2, by
+the paper's correspondence d_ij = lambda_ii + lambda_jj - 2 lambda_ij
+between tail-dependence matrices and spectral distances; so every model
+is checked the same way.  The exponential column count is the honest price
+of exactness here; the default size guard documents it rather than hiding
+it.
 """
 
 from __future__ import annotations
@@ -63,19 +68,19 @@ class Status(Enum):
 class FeasibilityOutcome:
     """Decision plus its certificate.
 
-    FEASIBLE: ``witness_beta`` solves every constraint exactly (for SDR the
-    raw cut weights live in ``cuts`` and ``witness_beta``/``model`` hold the
-    materialized equal-margin model).  INFEASIBLE: ``farkas`` is a row
-    multiplier vector with nonpositive pairing against every variable
-    column and positive pairing against the right-hand side.  ``stats`` is
-    the solver's account of its work; it takes no part in equality.
+    FEASIBLE: ``model`` is the witness, solving every constraint exactly;
+    for SDR the raw cut weights live in ``cuts`` and ``model`` is the
+    materialized equal-margin model at marginal scale ``scale``.
+    INFEASIBLE: ``farkas`` is a row multiplier vector, one entry per
+    constraint row (``tdr_rows(p)``/``sdr_rows(p)``, in order), with
+    nonpositive pairing against every variable column and positive pairing
+    against the right-hand side.  ``stats`` is the solver's account of its
+    work; it takes no part in equality.
     """
 
     problem: str  # "tdr" | "sdr"
     status: Status
     p: int
-    row_pairs: tuple  # constraint rows as 0-based (i, j) pairs, in order
-    witness_beta: SubsetFn | None = None
     model: TmModel | None = None
     cuts: CutDecomposition | None = None
     scale: Rat | None = None  # SDR: the materialized common marginal scale
@@ -117,10 +122,9 @@ def decide_tdr(L: TdMatrix, *, max_p: int = DEFAULT_MAX_P) -> FeasibilityOutcome
     _guard(L.p, max_p)
     cols, A, rhs = tdr_system(L)
     lp = ExactSimplex(A, rhs)
-    pairs = tuple(tdr_rows(L.p))
     if not lp.feasible:
         return FeasibilityOutcome(
-            "tdr", Status.INFEASIBLE, L.p, pairs, farkas=tuple(lp.farkas), stats=lp.stats
+            "tdr", Status.INFEASIBLE, L.p, farkas=tuple(lp.farkas), stats=lp.stats
         )
     x = lp.witness()
     beta = SubsetFn.from_values(L.p, x, Kind.BETA)
@@ -130,9 +134,7 @@ def decide_tdr(L: TdMatrix, *, max_p: int = DEFAULT_MAX_P) -> FeasibilityOutcome
     resynth = synthesize(lambda_from_beta(beta))
     if not (isinstance(resynth, TmModel) and resynth.beta == beta):
         raise InternalError("TDR witness does not survive resynthesis")
-    return FeasibilityOutcome(
-        "tdr", Status.FEASIBLE, L.p, pairs, witness_beta=beta, model=model, stats=lp.stats
-    )
+    return FeasibilityOutcome("tdr", Status.FEASIBLE, L.p, model=model, stats=lp.stats)
 
 
 def sdr_auto_scale(d: SemiMetric) -> Rat:
@@ -181,25 +183,16 @@ def decide_sdr(
     """Decide cut-cone membership of a semimetric; materialize on success."""
     _guard(d.p, max_p)
     cols, A, rhs = cut_system(d)
-    pairs = tuple(sdr_rows(d.p))
     lp = ExactSimplex(A, rhs)
     if not lp.feasible:
         return FeasibilityOutcome(
-            "sdr", Status.INFEASIBLE, d.p, pairs, farkas=tuple(lp.farkas), stats=lp.stats
+            "sdr", Status.INFEASIBLE, d.p, farkas=tuple(lp.farkas), stats=lp.stats
         )
     weights = lp.witness()
     c = sdr_auto_scale(d) if scale == "auto" else rat(scale)
     model, cuts = materialize_sdr_model(d, cols, weights, c)
     return FeasibilityOutcome(
-        "sdr",
-        Status.FEASIBLE,
-        d.p,
-        pairs,
-        witness_beta=model.beta,
-        model=model,
-        cuts=cuts,
-        scale=c,
-        stats=lp.stats,
+        "sdr", Status.FEASIBLE, d.p, model=model, cuts=cuts, scale=c, stats=lp.stats
     )
 
 
@@ -229,17 +222,18 @@ def normalize_sdr_to_tdr(d: SemiMetric) -> TdMatrix:
 
 
 def _mismatch(
-    nums: Sequence[int], den: int, incidence: np.ndarray, pairs: Sequence, target
-) -> tuple | None:
-    """First ((i, j), sum) where the sum of nums / den over the masks (the
-    columns of ``incidence``, one row per pair) that hit the pair differs
-    from target[i][j]; None if every pair matches."""
-    sums = _pairings(nums, incidence.T)
-    for (i, j), total in zip(pairs, sums.tolist()):
-        want = target[i][j]
-        if total * want.denominator != want.numerator * den:
-            return (i, j), Rat(total, den)
-    return None
+    what: str, nums: Sequence[int], den: int, incidence: np.ndarray, rows: Sequence,
+    want: Sequence[int], want_den: int,
+) -> None:
+    """Raise CertificateRejected at the first row (i, j) where nums / den,
+    summed over the masks (columns of ``incidence``, one row per pair) that
+    hit the pair, differs from its target want / want_den."""
+    sums = _pairings(nums, incidence.T).tolist()
+    for (i, j), total, w in zip(rows, sums, want):
+        if total * want_den != w * den:
+            raise CertificateRejected(
+                f"{what} at ({i + 1},{j + 1}) is {Rat(total, den)}, expected {Rat(w, want_den)}"
+            )
 
 
 def verify_certificate(
@@ -247,48 +241,48 @@ def verify_certificate(
 ) -> bool:
     """Re-check a witness or Farkas certificate by direct summation.
 
-    Uses nothing from the solver.  Every check is an exact integer pairing
-    (``_pairings``) of numerators over a common denominator with a 0/1
-    incidence (``_covers`` for TDR, ``_separates`` for SDR):
+    Uses nothing from the solver, and checks every row of the problem
+    (``tdr_rows``/``sdr_rows``).  Every pair sum is one exact integer
+    pairing (``_pairings``, through ``_mismatch``) of numerators over a
+    common denominator with a 0/1 incidence (``_covers`` for subsets,
+    ``_separates`` for cuts):
 
-    * a TDR witness must sum, over the subsets covering each row pair, to
-      that pair's coefficient;
+    * a TDR ``model`` must sum, over the subsets covering each row pair,
+      to that pair's coefficient;
     * SDR cut weights on distinct proper cuts must sum, over the cuts
-      separating each pair, to its distance; a materialized model's sums
-      lambda_ij over the subsets covering each pair must give every
-      marginal lambda_ii = ``scale`` and every distance
-      lambda_ii + lambda_jj - 2 lambda_ij (the atoms separating i and j);
+      separating each pair, to its distance;
+    * an SDR ``model`` at ``scale`` s is checked as a TDR witness: by
+      d_ij = lambda_ii + lambda_jj - 2 lambda_ij, a model with every
+      marginal s has distances d iff its sums over the subsets covering
+      each pair i <= j are lambda_ij = s - d_ij / 2 (d_ii = 0);
     * a Farkas vector y must pair positively with the right-hand side and
       nonpositively with every column.
 
-    The rows are the problem's own (``tdr_rows``/``sdr_rows``); an outcome
-    listing any other rows is rejected.  Returns True, or raises
-    CertificateRejected with the first discrepancy.
+    Returns True, or raises CertificateRejected with the first discrepancy.
     """
     if outcome.problem == "tdr":
         if not isinstance(instance, TdMatrix):
             raise CertificateRejected("TDR certificate paired with a non-TD instance")
         p, target = instance.p, instance.lam
-        masks, pairs, A = range(1, 1 << p), tdr_rows(p), _tdr_incidence(p)
+        masks, rows, A = range(1, 1 << p), tdr_rows(p), _tdr_incidence(p)
     elif outcome.problem == "sdr":
         if not isinstance(instance, SemiMetric):
             raise CertificateRejected("SDR certificate paired with a non-metric instance")
         p, target = instance.p, instance.d
-        masks, pairs, A = canonical_cuts(p), sdr_rows(p), _cut_incidence(p)
+        masks, rows, A = canonical_cuts(p), sdr_rows(p), _cut_incidence(p)
     else:
         raise CertificateRejected(f"unknown problem tag {outcome.problem!r}")
     if outcome.p != p:
         raise CertificateRejected("dimension mismatch")
-    # every constraint is checked, not just the rows the outcome lists
-    if list(outcome.row_pairs) != pairs:
-        raise CertificateRejected("constraint rows do not match the problem's")
+    bs, r = to_common_numerators([target[i][j] for i, j in rows])
     if outcome.status is not Status.FEASIBLE:
         # with y = ys / q and b = bs / r (q, r > 0), y'b and every y'A_J
         # have the signs of ys'bs and ys'A_J
-        if len(outcome.farkas) != len(pairs):
+        if outcome.farkas is None:
+            raise CertificateRejected("missing Farkas vector")
+        if len(outcome.farkas) != len(rows):
             raise CertificateRejected("certificate length does not match row count")
         ys, _ = to_common_numerators(outcome.farkas)
-        bs, _ = to_common_numerators([target[i][j] for i, j in pairs])
         if sum(y * b for y, b in zip(ys, bs)) <= 0:
             raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
         positive = np.flatnonzero(_pairings(ys, A) > 0)
@@ -296,17 +290,8 @@ def verify_certificate(
             raise CertificateRejected(f"Farkas pairing with column {masks[positive[0]]} is positive")
         return True
 
-    if outcome.problem == "tdr":
-        beta = outcome.witness_beta
-        if beta is None:
-            raise CertificateRejected("missing or negative witness")
-        if beta.p != p:
-            raise CertificateRejected("dimension mismatch")
-        nums, den = beta._numerators()
-        if nums.min() < 0:
-            raise CertificateRejected("missing or negative witness")
-        what = "witness pair sum"
-    else:
+    model = outcome.model
+    if outcome.problem == "sdr":
         cuts = outcome.cuts
         if cuts is None or any(w < 0 for _, w in cuts.cuts):
             raise CertificateRejected("missing or negative cut weights")
@@ -315,33 +300,23 @@ def verify_certificate(
         if len(set(masks)) != len(masks) or not all(0 < m < full_mask(p) for m in masks):
             raise CertificateRejected("cut masks are not distinct proper cuts")
         nums, den = to_common_numerators([w for _, w in cuts.cuts])
-        A = _incidence(_separates, pairs, masks)
-        what = "cut reconstruction"
-    miss = _mismatch(nums, den, A, pairs, target)
-    if miss is not None:
-        (i, j), total = miss
-        raise CertificateRejected(
-            f"{what} at ({i + 1},{j + 1}) is {total}, expected {target[i][j]}"
-        )
-
-    model, scale = outcome.model, outcome.scale
-    if outcome.problem == "sdr" and model is not None and scale is not None:
-        # one covers pairing gives lambda_ij for i <= j; built here, not
-        # taken from the TDR cache, so an SDR check pins no TDR incidence.
-        # A model over another number of components needs only marginals.
-        q = model.p
-        nums, den = model.beta._numerators()
-        rows = tdr_rows(q) if q == p else [(i, i) for i in range(q)]
-        A = _incidence(_covers, rows, range(1, 1 << q))
-        lam = dict(zip(rows, _pairings(nums, A.T).tolist()))
-        if any(lam[i, i] * scale.denominator != scale.numerator * den for i in range(q)):
-            raise CertificateRejected("materialized marginals are unequal")
-        if q != p or any(
-            (lam[i, i] + lam[j, j] - 2 * lam[i, j]) * target[i][j].denominator
-            != target[i][j].numerator * den
-            for i, j in pairs
-        ):
-            raise CertificateRejected("materialized model does not reproduce the distances")
+        _mismatch("cut reconstruction", nums, den, _incidence(_separates, rows, masks),
+                  rows, bs, r)
+        if model is None or outcome.scale is None:
+            return True
+        # with s = n / q and d = b / r: lambda_ij = (2nr - q b_ij) / (2qr).
+        # The covers incidence is built here, not taken from the TDR cache,
+        # so an SDR check pins no TDR incidence.
+        n, q = outcome.scale.as_integer_ratio()
+        rows = tdr_rows(p)
+        bs, r = to_common_numerators([target[i][j] for i, j in rows])
+        bs, r = [2 * n * r - q * b for b in bs], 2 * q * r
+        A = _incidence(_covers, rows, range(1, 1 << p))
+    if model is None:
+        raise CertificateRejected("missing witness")
+    if model.p != p:
+        raise CertificateRejected("dimension mismatch")
+    _mismatch("witness pair sum", *model.beta._numerators(), A, rows, bs, r)
     return True
 
 

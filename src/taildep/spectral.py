@@ -530,10 +530,13 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
 
     When it is not unique, the cut system is re-solved under ``trials``
     objectives, alternating between single-cut min/max pairs (cycling
-    through the canonical cuts) and seeded random integer cost vectors, each
-    warm-started from the phase-one basis.  If those all return one decomposition, x* and
-    the decider's optimum (which differ) are added, so a non-unique d never
-    gets a rigid report.  Requires d to be decomposable at all.
+    through the canonical cuts) and seeded random integer cost vectors.
+    The decider above runs on a copy of the phase-one solver; the objectives
+    run on the solver itself, the first from the phase-one basis and each
+    later one from the basis the previous one ended at.  If those all
+    return one decomposition, x* and the decider's optimum (which differ)
+    are added, so a non-unique d never gets a rigid report.  Requires d to
+    be decomposable at all.
     """
     if trials < 1:
         raise ValueError("need at least one objective")

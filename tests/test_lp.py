@@ -524,6 +524,11 @@ def _matrix(rows):
     return _Matrix(_narrow(np.array(rows, dtype=object)))
 
 
+def _row(y):
+    """a list of ints as the 1 x k array ``_Matrix.extreme`` takes."""
+    return np.array([y], dtype=object)
+
+
 def test_matrix_products_are_exact_past_int64():
     rng = random.Random(7)
     rows = [[rng.randint(-(1 << 20), 1 << 20) for _ in range(9)] for _ in range(6)]
@@ -542,16 +547,16 @@ def test_matrix_products_are_exact_past_int64():
         for y, values in zip(Y, exact):
             for largest, pick in ((True, max), (False, min)):
                 best = pick(values)
-                assert M.extreme(y, largest) == (values.index(best), best)
+                assert M.extreme(_row(y), largest) == (values.index(best), best)
     # values one apart, past int64
     unit = _matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for y in ([(1 << 70) + 1, 1 << 70, 1 << 70], [-(1 << 70), 3 - (1 << 70), 2 - (1 << 70)]):
-        assert unit.extreme(y, largest=True) == (y.index(max(y)), max(y))
-        assert unit.extreme(y, largest=False) == (y.index(min(y)), min(y))
+        assert unit.extreme(_row(y), largest=True) == (y.index(max(y)), max(y))
+        assert unit.extreme(_row(y), largest=False) == (y.index(min(y)), min(y))
     wide = _matrix([[1 << 40, 1], [3, -(1 << 70)]])
     assert wide.ints.dtype == object and wide.bound is None
     assert wide.product(np.array([[2, -1]])).tolist() == [[(1 << 41) - 3, 2 + (1 << 70)]]
-    assert wide.extreme([2, -1], largest=False) == (0, (1 << 41) - 3)
+    assert wide.extreme(_row([2, -1]), largest=False) == (0, (1 << 41) - 3)
     # entries in int64 whose column sums might not be
     edge = _matrix([[1 << 62, 1], [1 << 62, 1]])
     assert edge.bound is None
@@ -599,7 +604,7 @@ def test_extreme_finds_the_first_extreme_entry(rows, data):
     values = [sum(a * row[j] for a, row in zip(y, rows)) for j in range(5)]
     for largest, pick in ((True, max), (False, min)):
         best = pick(values)
-        assert M.extreme(y, largest) == (values.index(best), best)
+        assert M.extreme(_row(y), largest) == (values.index(best), best)
 
 
 def test_stats_count_the_work():

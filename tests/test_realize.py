@@ -37,6 +37,8 @@ from taildep.realize import (
     decide_tdr,
     normalize_sdr_to_tdr,
     sdr_auto_scale,
+    sdr_rows,
+    tdr_rows,
     tdr_system,
     verify_certificate,
 )
@@ -93,7 +95,7 @@ class TestDecideTdr:
         out = decide_tdr(L)
         assert out.feasible
         assert verify_certificate(out, L)
-        w = out.witness_beta
+        w = out.model.beta
         assert w[1] == w[2] == w[3] == rat(1, 2)
 
     def test_triangle_violation_infeasible(self):
@@ -135,7 +137,7 @@ class TestDecideTdr:
             out = decide_tdr(L)
             assert out.feasible
             assert verify_certificate(out, L)
-            assert pair_matrix_from_beta(out.witness_beta).lam == L.lam
+            assert pair_matrix_from_beta(out.model.beta).lam == L.lam
 
     def test_failed_resynthesis_is_an_internal_error(self, monkeypatch, tmp_path):
         # a synthesize that returns the wrong model trips the round-trip check
@@ -266,11 +268,31 @@ class TestCertificates:
 
         from taildep.coeffs import Kind, SubsetFn
 
-        vals = list(out.witness_beta.values)
+        vals = list(out.model.beta.values)
         vals[0] += rat(1, 9)
-        bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.BETA))
+        bad = replace(out, model=TmModel(2, SubsetFn(2, tuple(vals), Kind.BETA)))
         with pytest.raises(CertificateRejected):
             verify_certificate(bad, L)
+
+    def test_swapped_model_rejected(self):
+        # the model is the witness the CLI writes out: a valid TmModel that
+        # is not the solved one must not pass
+        L = TdMatrix.from_rows([[1, rat(1, 2)], [rat(1, 2), 1]])
+        out = decide_tdr(L)
+        bad = replace(out, model=TmModel.from_entries(2, {3: 5}))
+        sums = r"^witness pair sum at \(1,1\) is 5, expected 1$"
+        with pytest.raises(CertificateRejected, match=sums):
+            verify_certificate(bad, L)
+
+    def test_missing_farkas_rejected(self):
+        for decide, instance in (
+            (decide_tdr, TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])),
+            (decide_sdr, k23_metric()),
+        ):
+            out = decide(instance)
+            assert out.status is Status.INFEASIBLE
+            with pytest.raises(CertificateRejected, match="^missing Farkas vector$"):
+                verify_certificate(replace(out, farkas=None), instance)
 
     def test_tampered_farkas_rejected(self):
         L = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
@@ -288,24 +310,17 @@ class TestCertificates:
 
         L = TdMatrix.from_rows([[1, rat(1, 2)], [rat(1, 2), 1]])
         out = decide_tdr(L)
-        vals = list(out.witness_beta.values)
+        vals = list(out.model.beta.values)
         vals[0] += rat(1, 9)
-        bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.BETA))
+        bad = replace(out, model=TmModel(2, SubsetFn(2, tuple(vals), Kind.BETA)))
         sums = r"^witness pair sum at \(1,1\) is 10/9, expected 1$"
         with pytest.raises(CertificateRejected, match=sums):
             verify_certificate(bad, L)
-        vals[0] = rat(-1, 9)
-        bad = replace(out, witness_beta=SubsetFn(2, tuple(vals), Kind.RAW))
-        with pytest.raises(CertificateRejected, match="^missing or negative witness$"):
-            verify_certificate(bad, L)
+        with pytest.raises(CertificateRejected, match="^missing witness$"):
+            verify_certificate(replace(out, model=None), L)
         # a witness over another number of components
-        bad = replace(out, witness_beta=SubsetFn(3, tuple(rat(1, 7) for _ in range(7)), Kind.BETA))
+        bad = replace(out, model=TmModel.from_entries(3, dict.fromkeys(range(1, 8), rat(1, 7))))
         with pytest.raises(CertificateRejected, match="^dimension mismatch$"):
-            verify_certificate(bad, L)
-        # no rows listed: a witness that misses every pair sum must not pass
-        bad = replace(out, row_pairs=(), witness_beta=SubsetFn(2, (rat(5),) * 3, Kind.BETA))
-        rows = "^constraint rows do not match the problem's$"
-        with pytest.raises(CertificateRejected, match=rows):
             verify_certificate(bad, L)
 
         T = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
@@ -315,22 +330,20 @@ class TestCertificates:
         with pytest.raises(CertificateRejected, match=length):
             verify_certificate(replace(out, farkas=out.farkas[1:]), T)
         # y = the row of pair (2, 3): y'b = 0
-        unit = tuple(rat(int(pair == (1, 2))) for pair in out.row_pairs)
+        unit = tuple(rat(int(pair == (1, 2))) for pair in tdr_rows(3))
         rhs = "^Farkas pairing with the right-hand side is not positive$"
         with pytest.raises(CertificateRejected, match=rhs):
             verify_certificate(replace(out, farkas=unit), T)
         # y = the row of pair (1, 2): y'b = 1, and subset {1, 2} (mask 3) pairs to 1
-        unit = tuple(rat(int(pair == (0, 1))) for pair in out.row_pairs)
+        unit = tuple(rat(int(pair == (0, 1))) for pair in tdr_rows(3))
         with pytest.raises(CertificateRejected, match="^Farkas pairing with column 3 is positive$"):
             verify_certificate(replace(out, farkas=unit), T)
 
         d = k23_metric()
         out = decide_sdr(d)
         assert verify_certificate(out, d)
-        with pytest.raises(CertificateRejected, match=rows):
-            verify_certificate(replace(out, row_pairs=out.row_pairs[::-1]), d)
         # one pair's row: every cut separating that pair pairs to its weight
-        unit = tuple(rat(1, 3) if pair == (0, 3) else rat(0) for pair in out.row_pairs)
+        unit = tuple(rat(1, 3) if pair == (0, 3) else rat(0) for pair in sdr_rows(5))
         with pytest.raises(CertificateRejected, match="^Farkas pairing with column 1 is positive$"):
             verify_certificate(replace(out, farkas=unit), d)
 
@@ -345,19 +358,21 @@ class TestCertificates:
         recon = r"^cut reconstruction at \(1,2\) is 3/2, expected 1$"
         with pytest.raises(CertificateRejected, match=recon):
             verify_certificate(replace(out, cuts=cuts), d)
+        # the model is a TDR witness for lambda_ij = 18 - d_ij / 2
         atoms = dict(out.model.support())
         atoms[1] += 1
         model = TmModel.from_entries(3, atoms)
-        with pytest.raises(CertificateRejected, match="^materialized marginals are unequal$"):
+        marginal = r"^witness pair sum at \(1,1\) is 19, expected 18$"
+        with pytest.raises(CertificateRejected, match=marginal):
             verify_certificate(replace(out, model=model), d)
         # every marginal 18, every distance 0
         model = TmModel.from_entries(3, {0b111: rat(18)})
-        distances = "^materialized model does not reproduce the distances$"
-        with pytest.raises(CertificateRejected, match=distances):
+        distance = r"^witness pair sum at \(1,2\) is 18, expected 35/2$"
+        with pytest.raises(CertificateRejected, match=distance):
             verify_certificate(replace(out, model=model), d)
         # two components with marginals 18 at distance d(1, 2) = 1
         model = TmModel.from_entries(2, {0b01: rat(1, 2), 0b10: rat(1, 2), 0b11: rat(35, 2)})
-        with pytest.raises(CertificateRejected, match=distances):
+        with pytest.raises(CertificateRejected, match="^dimension mismatch$"):
             verify_certificate(replace(out, model=model), d)
 
     def test_witness_checks_match_rational_sums(self, rng):
@@ -405,13 +420,15 @@ class TestCertificates:
                 Lc = TdMatrix.from_rows([[c * v for v in row] for row in L.lam])
                 dc = SemiMetric.from_rows([[c * v for v in row] for row in d.d])
 
-                beta = perturbed(c * v for v in tdr.witness_beta.values)
-                valid = min(beta) >= 0 and sums_hold(
-                    list(enumerate(beta, start=1)), covers, tdr_pairs, lambda i, j: Lc.lam[i][j]
-                )
-                witness = SubsetFn(p, tuple(beta), Kind.RAW)
-                assert accepts(replace(tdr, witness_beta=witness), Lc) == valid
-                seen.add(valid)
+                beta = perturbed(c * v for v in tdr.model.beta.values)
+                if min(beta) >= 0:  # else not a model
+                    valid = sums_hold(
+                        list(enumerate(beta, start=1)), covers, tdr_pairs,
+                        lambda i, j: Lc.lam[i][j],
+                    )
+                    witness = TmModel(p, SubsetFn(p, tuple(beta), Kind.BETA))
+                    assert accepts(replace(tdr, model=witness), Lc) == valid
+                    seen.add(valid)
 
                 masks = [m for m, _ in sdr.cuts.cuts]
                 weights = list(zip(masks, perturbed(c * w for _, w in sdr.cuts.cuts)))
@@ -544,3 +561,20 @@ def test_outcome_carries_the_solver_stats(decide, instance, system, status):
     bare = replace(out, stats=None)
     assert bare == out
     assert _outcome_payload(bare) == _outcome_payload(out)
+
+
+def test_payload_rows_are_the_problems_rows_in_order():
+    # the CLI's "rows" come from the problem and p: the order the Farkas
+    # vector's entries follow
+    line = SemiMetric.from_rows([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+    triangle = TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])
+    cases = (
+        (decide_tdr(TdMatrix.from_rows([[1]])), [[1, 1]]),
+        (decide_tdr(triangle), [[1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]),
+        (decide_sdr(line), [[1, 2], [1, 3], [2, 3]]),
+        (decide_sdr(k23_metric()),
+         [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]]),
+    )
+    for out, rows in cases:
+        assert _outcome_payload(out)["rows"] == rows
+    assert [out.feasible for out, _ in cases] == [True, False, True, False]

@@ -14,6 +14,7 @@ from taildep.errors import (
     DegenerateModel,
     DomainError,
     InternalError,
+    InvalidBeta,
     InvalidPmf,
     ScaleTooSmall,
 )
@@ -77,6 +78,17 @@ def test_marginal_scales_equal_fraction_sums(model):
 
 def test_wide_atoms_hold_numerators_past_int64():
     assert TmModel.from_entries(3, _WIDE_ATOMS).beta._numerators()[0].dtype == object
+
+
+def test_model_weights_must_be_kind_beta():
+    # the weights of every model are nonnegative: only kind BETA is
+    # accepted, and kind BETA holds no negative entry
+    with pytest.raises(ValueError, match="kind beta"):
+        TmModel(2, SubsetFn(2, (rat(-1), rat(1), rat(1)), Kind.RAW))
+    with pytest.raises(ValueError, match="kind beta"):
+        TmModel(2, SubsetFn(2, (rat(1),) * 3, Kind.RAW))
+    with pytest.raises(InvalidBeta, match="negative beta entries"):
+        SubsetFn(2, (rat(-1), rat(1), rat(1)), Kind.BETA)
 
 
 class TestSynthesize:
