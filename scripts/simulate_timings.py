@@ -2,9 +2,11 @@
 """Median seconds of each stage of `taildep simulate` at one p and n.
 
 Builds a random model on p components (the full set plus --atoms - 1 other
-random atoms, weights k/16), then times, --repeats times each:
+random atoms, weights k/16), then times, --repeats times each, in wall
+seconds and in the process's CPU seconds (all threads; CPU over wall shows
+how well a stage runs on several cores):
 
-  sample           drawing n rows
+  sample           drawing n rows (also printed as rows per wall second)
   samples_write    writing them as a binary sample stream (to a temp dir)
   histogram        exceedance_set_histogram at --u
   report           estimation_report on that histogram
@@ -49,12 +51,14 @@ def default_targets(p: int) -> tuple[list[int], list[int]]:
 
 
 def median_seconds(fn, repeats: int):
-    seconds = []
+    """(median wall seconds, median process CPU seconds), and fn's last result."""
+    wall, cpu = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         out = fn()
-        seconds.append(time.perf_counter() - start)
-    return statistics.median(seconds), out
+        cpu.append(time.process_time() - start_cpu)
+        wall.append(time.perf_counter() - start)
+    return (statistics.median(wall), statistics.median(cpu)), out
 
 
 def main() -> None:
@@ -84,14 +88,20 @@ def main() -> None:
         lambda: ([exact_joint_exceedance(model, s, args.u) for s in lam_t],
                  [exact_union_exceedance(model, s, args.u) for s in th_t]),
         args.repeats)
+    rows_per_s = args.n / medians["sample"][0]
     if args.json:
         print(json.dumps({"p": args.p, "n": args.n, "u": args.u, "atoms": len(model.support()),
-                          "targets": len(lam_t) + len(th_t), "median_s": medians}))
+                          "targets": len(lam_t) + len(th_t),
+                          "median_s": {k: wall for k, (wall, _) in medians.items()},
+                          "median_cpu_s": {k: cpu for k, (_, cpu) in medians.items()},
+                          "sample_rows_per_s": rows_per_s}))
         return
     print(f"p={args.p} n={args.n} u={args.u} atoms={len(model.support())} "
           f"targets={len(lam_t) + len(th_t)} observed sets={len(hist.counts)}")
-    for stage, seconds in medians.items():
-        print(f"{stage:>14} {seconds:10.6f} s")
+    print(f"{'stage':>14} {'wall s':>10} {'cpu s':>10}")
+    for stage, (wall, cpu) in medians.items():
+        print(f"{stage:>14} {wall:10.6f} {cpu:10.6f}")
+    print(f"sample: {rows_per_s:,.0f} rows/s, cpu/wall {medians['sample'][1] / medians['sample'][0]:.2f}")
 
 
 if __name__ == "__main__":

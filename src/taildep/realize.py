@@ -251,7 +251,8 @@ def verify_certificate(
       to that pair's coefficient;
     * SDR cut weights on distinct proper cuts must sum, over the cuts
       separating each pair, to its distance;
-    * an SDR ``model`` at ``scale`` s is checked as a TDR witness: by
+    * an SDR ``model`` and its ``scale`` come together or not at all, and
+      the model at scale s is checked as a TDR witness: by
       d_ij = lambda_ii + lambda_jj - 2 lambda_ij, a model with every
       marginal s has distances d iff its sums over the subsets covering
       each pair i <= j are lambda_ij = s - d_ij / 2 (d_ii = 0);
@@ -302,7 +303,11 @@ def verify_certificate(
         nums, den = to_common_numerators([w for _, w in cuts.cuts])
         _mismatch("cut reconstruction", nums, den, _incidence(_separates, rows, masks),
                   rows, bs, r)
-        if model is None or outcome.scale is None:
+        # the model is checked at its scale, so one without the other is
+        # a witness that cannot be checked, or a scale with no witness
+        if (model is None) != (outcome.scale is None):
+            raise CertificateRejected("SDR model and scale must come together")
+        if model is None:
             return True
         # with s = n / q and d = b / r: lambda_ij = (2nr - q b_ij) / (2qr).
         # The covers incidence is built here, not taken from the TDR cache,

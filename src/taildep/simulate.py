@@ -13,15 +13,20 @@ exceedance counting is strict (X > u).
 
 Inside a block, rows are drawn a fixed chunk at a time from the block's
 one generator; consecutive fills continue the same Philox stream, so a
-chunk boundary changes no value.  Each chunk becomes beta(J) / E_J in
-place (the same two IEEE operations per value whatever the chunking),
-is transposed to one row per atom, and each atom's row is folded into
-its components' running maxima; max is exact, so the fold order does not
-matter either.  Blocks run concurrently on a thread pool with one worker
-per available CPU (numpy's generator fills and ufuncs release the GIL)
-and write disjoint slices of the output, so the bytes returned depend on
-(model, n, seed, block size) only, never on the thread count or the
-chunk size.
+chunk boundary changes no value.  Each chunk of exponentials becomes
+1 / E_J in place and is then weighted as it is transposed, in one
+multiply into one row per atom, so every value still gets the same two
+IEEE operations, 1 / E then times beta(J), whatever the chunking.  Each
+atom's row is then folded into its components' running maxima through a
+list of (component row, atom row) view pairs that is built once per chunk
+height; max is exact, so the fold order does not matter either.  Blocks
+run concurrently on a thread pool with one worker per available CPU
+(numpy's generator fills and ufuncs release the GIL); each worker
+allocates its chunk buffers once and reuses them for all of its blocks,
+and the workers write disjoint slices of the output.  Every value is thus
+a function of its block's stream alone, so the bytes returned depend on
+(model, n, seed, block size) only, never on the thread count, the chunk
+size or which worker drew a block.
 
 Every coefficient estimate is read off the exceedance-set histogram.  The
 extremal coefficients are functionals of the random exceedance set
@@ -79,9 +84,14 @@ def sample(
     """Draw n iid vectors from the model; returns an (n, p) float array.
 
     Component i is the max of beta(J) / E_J over atoms J containing i,
-    with E_J unit exponentials redrawn independently per sample.  Blocks
-    are drawn concurrently on a thread pool; the result does not depend on
-    how many threads run.
+    with E_J unit exponentials redrawn independently per sample.  Block b
+    draws from its own Philox stream (seed, spawn key b), a chunk of rows
+    at a time into buffers its worker allocated once: 1 / E in place, then
+    times beta(J) while being transposed to one row per atom, then folded
+    into the component maxima through view pairs prebuilt per chunk
+    height.  Blocks are drawn concurrently on a thread pool; the bytes
+    returned depend on (model, n, seed, block_size) only, not on how many
+    threads run.
     """
     if model.is_degenerate:
         raise DegenerateModel("cannot sample a model with all-zero weights")
@@ -91,41 +101,44 @@ def sample(
         raise DomainError("n must be >= 1")
     p = model.p
     support = model.support()
-    weights = np.array([float(v) for _, v in support])
+    # a column, one weight per atom row of the transposed chunk
+    weights = np.array([float(v) for _, v in support])[:, None]
     members = [[i for i in range(p) if mask >> i & 1] for mask, _ in support]
     n_atoms = len(support)
     chunk = min(_CHUNK_ROWS, block_size, n)
     out = np.zeros((n, p))
-
-    def fill(block_index: int) -> None:
-        start = block_index * block_size
-        stop = min(start + block_size, n)
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-        gen = np.random.Generator(np.random.Philox(ss))
-        z = np.empty((chunk, n_atoms))
-        zt = np.empty((n_atoms, chunk))
-        acc = np.empty((p, chunk))
-        for lo in range(start, stop, chunk):
-            rows = min(chunk, stop - lo)
-            zc, zr, ac = z[:rows], zt[:, :rows], acc[:, :rows]
-            gen.standard_exponential(out=zc)
-            np.divide(1.0, zc, out=zc)
-            zc *= weights
-            zr[...] = zc.T
-            ac.fill(0.0)
-            for a, comps in enumerate(members):
-                for i in comps:
-                    np.maximum(ac[i], zr[a], out=ac[i])
-            out[lo : lo + rows] = ac.T
-
     n_blocks = -(-n // block_size)
     workers = min(n_blocks, _available_cpus())
 
     def fill_share(first: int) -> None:
         # worker k takes blocks k, k + workers, ...: one task per worker, so
-        # a million one-row blocks queue no million futures
+        # a million one-row blocks queue no million futures.  The worker
+        # allocates its chunk buffers once and keeps, per chunk height (at
+        # most three: full, a block's last chunk, the last block's last
+        # chunk), their views and the fold's (component row, atom row) pairs.
+        z = np.empty((chunk, n_atoms))
+        zt = np.empty((n_atoms, chunk))
+        acc = np.empty((p, chunk))
+        views = {}
         for block_index in range(first, n_blocks, workers):
-            fill(block_index)
+            start = block_index * block_size
+            stop = min(start + block_size, n)
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
+            gen = np.random.Generator(np.random.Philox(ss))
+            for lo in range(start, stop, chunk):
+                rows = min(chunk, stop - lo)
+                if rows not in views:
+                    zr, ac = zt[:, :rows], acc[:, :rows]
+                    folds = [(ac[i], zr[a]) for a, comps in enumerate(members) for i in comps]
+                    views[rows] = z[:rows], zr, ac, folds
+                zc, zr, ac, folds = views[rows]
+                gen.standard_exponential(out=zc)
+                np.divide(1.0, zc, out=zc)
+                np.multiply(zc.T, weights, out=zr)
+                ac.fill(0.0)
+                for ai, za in folds:
+                    np.maximum(ai, za, out=ai)
+                out[lo : lo + rows] = ac.T
 
     if workers == 1:
         fill_share(0)

@@ -284,6 +284,23 @@ class TestCertificates:
         with pytest.raises(CertificateRejected, match=sums):
             verify_certificate(bad, L)
 
+    def test_sdr_model_and_scale_come_together(self, line_metric):
+        # the CLI writes an SDR model out as the witness, and it is checked
+        # at its scale: a model without a scale, or a scale without a model,
+        # is rejected rather than passed unchecked
+        d = line_metric
+        out = decide_sdr(d)
+        together = "^SDR model and scale must come together$"
+        bad = replace(out, scale=None, model=TmModel.from_entries(3, {7: 5}))
+        with pytest.raises(CertificateRejected, match=together):
+            verify_certificate(bad, d)
+        with pytest.raises(CertificateRejected, match=together):
+            verify_certificate(replace(out, scale=None), d)
+        with pytest.raises(CertificateRejected, match=together):
+            verify_certificate(replace(out, model=None), d)
+        # neither: the cut weights alone are checked
+        assert verify_certificate(replace(out, model=None, scale=None), d)
+
     def test_missing_farkas_rejected(self):
         for decide, instance in (
             (decide_tdr, TdMatrix.from_rows([[1, 1, 1], [1, 1, 0], [1, 0, 1]])),
@@ -436,7 +453,7 @@ class TestCertificates:
                     weights, separates, sdr_pairs, lambda i, j: dc.d[i][j]
                 )
                 cuts = CutDecomposition(p, tuple(weights), c * sdr.cuts.slack_full)
-                assert accepts(replace(sdr, cuts=cuts, model=None), dc) == valid
+                assert accepts(replace(sdr, cuts=cuts, model=None, scale=None), dc) == valid
                 seen.add(valid)
 
                 atoms = [(m, c * v) for m, v in sdr.model.beta.entries()]

@@ -117,8 +117,15 @@ class TestSamplerBytes:
             (TmModel.from_entries(3, {1: rat(1, 2), 5: 2}), 9_000, 4096),  # zero marginal
             (TmModel.from_entries(1, {1: rat(3, 4)}), 5_000, 1024),  # p = 1
             (_p8_model(), 70_001, DEFAULT_BLOCK_SIZE),  # 60 atoms, two blocks
+            # every block ends on a short chunk, and a worker's next block
+            # starts again on full chunks
+            (_p8_model(), 25_000, 10_000),
+            (_p8_model(n_atoms=255), 9_000, 4096),  # every atom at p = 8
         ],
-        ids=["ragged", "below-chunk", "block-1", "block-1000", "zero-marginal", "p1", "p8"],
+        ids=[
+            "ragged", "below-chunk", "block-1", "block-1000", "zero-marginal", "p1", "p8",
+            "p8-short-chunks", "p8-dense",
+        ],
     )
     def test_matches_reference_loop(self, model, n, block_size):
         got = sample(model, n, seed=17, block_size=block_size)
