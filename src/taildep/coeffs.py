@@ -582,6 +582,18 @@ def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", _store(nums), incidence)
 
 
+def _stray_column(ys: Sequence[int], incidence: np.ndarray, *, floor=None, ceiling=None):
+    """The one dual-certificate check: the first column j of a 0/1
+    incidence whose pairing (ys'A)_j (``_pairings``) is below ``floor`` or
+    above ``ceiling`` (one int or one per column; None: open), else None."""
+    loads = _pairings(ys, incidence)
+    stray = np.zeros(loads.shape, dtype=bool) if floor is None else loads < floor
+    if ceiling is not None:
+        stray |= loads > ceiling
+    first = np.flatnonzero(stray)
+    return int(first[0]) if first.size else None
+
+
 # A is read-only and a function of p alone, so each problem shares one per
 # p.  Two per problem: a caller alternating two dimensions keeps both, and
 # p = 16 pins one 31 MB cut incidence, not a growing set.

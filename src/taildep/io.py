@@ -44,10 +44,10 @@ def _get(data: Any, key: str, shape: str, default: Any = None) -> Any:
 
 
 def _mask(labels: Any, p: int, what: str) -> int:
-    """Mask of a label list, each label checked against p before any shift."""
+    """Mask of a nonempty label list, each label checked against p before any shift."""
     labels = _shaped(labels, "array", what)
     ks = [_shaped(k, "integer", "subset label") for k in labels]
-    if any(k > p for k in ks):
+    if not ks or any(k > p for k in ks):  # mask 0 is no subset either
         raise MalformedInput(f"{what} {labels} out of range for p={p}")
     return mask_of(*ks)
 

@@ -48,7 +48,7 @@ T[:, :m] A_col, whose last entry is the priced entry (phase two adds
 D c_col); a pivot is one update of T by the formula above; pricing is one
 exact product of the stored row, z_art A or [rc_art, D] [A; c], whose
 first largest (smallest) entry enters.  A is stored once (``_Matrix``),
-as the read-only int64 incidence that ``realize`` builds.
+as the read-only int64 incidence that ``coeffs._incidence`` builds.
 The integer arithmetic runs in int64 when a bound shows it fits (for a
 product, max|y| times the largest column sum of |A| below 2**63; one max|T|
 per pivot decides for all of T), as in ``coeffs._store``, and in object

@@ -32,7 +32,7 @@ import numpy as np
 
 from .coeffs import (
     Kind, SubsetFn, TdMatrix, _covers, _cut_incidence, _incidence, _pairings, _separates,
-    _tdr_incidence, lambda_from_beta, sdr_rows, tdr_rows,
+    _stray_column, _tdr_incidence, lambda_from_beta, sdr_rows, tdr_rows,
 )
 from .errors import (
     CertificateRejected,
@@ -242,10 +242,10 @@ def verify_certificate(
     """Re-check a witness or Farkas certificate by direct summation.
 
     Uses nothing from the solver, and checks every row of the problem
-    (``tdr_rows``/``sdr_rows``).  Every pair sum is one exact integer
-    pairing (``_pairings``, through ``_mismatch``) of numerators over a
-    common denominator with a 0/1 incidence (``_covers`` for subsets,
-    ``_separates`` for cuts):
+    (``tdr_rows``/``sdr_rows``), each sum one exact integer pairing of
+    numerators with a 0/1 incidence (``_covers``/``_separates``): a witness's
+    row sums through ``_mismatch``, a Farkas vector's column sums through
+    ``_stray_column``, the dual check ``spectral.rigidity_probe`` shares:
 
     * a TDR ``model`` must sum, over the subsets covering each row pair,
       to that pair's coefficient;
@@ -257,7 +257,7 @@ def verify_certificate(
       marginal s has distances d iff its sums over the subsets covering
       each pair i <= j are lambda_ij = s - d_ij / 2 (d_ii = 0);
     * a Farkas vector y must pair positively with the right-hand side and
-      nonpositively with every column.
+      nonpositively with every column (ceiling 0).
 
     Returns True, or raises CertificateRejected with the first discrepancy.
     """
@@ -286,9 +286,9 @@ def verify_certificate(
         ys, _ = to_common_numerators(outcome.farkas)
         if sum(y * b for y, b in zip(ys, bs)) <= 0:
             raise CertificateRejected("Farkas pairing with the right-hand side is not positive")
-        positive = np.flatnonzero(_pairings(ys, A) > 0)
-        if positive.size:
-            raise CertificateRejected(f"Farkas pairing with column {masks[positive[0]]} is positive")
+        column = _stray_column(ys, A, ceiling=0)
+        if column is not None:
+            raise CertificateRejected(f"Farkas pairing with column {masks[column]} is positive")
         return True
 
     model = outcome.model

@@ -37,7 +37,7 @@ import numpy as np
 
 from .coeffs import (
     Kind, SubsetFn, TdMatrix, _cut_incidence, _incidence, _pairings, _separates,
-    check_dimension, sdr_rows, spectral_distance_entry,
+    _stray_column, check_dimension, sdr_rows, spectral_distance_entry,
 )
 from .errors import InternalError, MalformedMatrix, NotInCutCone
 from .lp import ExactSimplex
@@ -453,7 +453,7 @@ class RigidityReport:
     pair (i, j), i < j, in lexicographic order (the rows of the int64
     incidence A that ``coeffs._cut_incidence`` caches), with y'A_J >= 1 for
     every cut J outside the support of x*, y'A_J >= 0 for the cuts inside
-    it, and y'd = 0 (checked on that same A by ``_check_uniqueness``).  Any
+    it, and y'd = 0 (checked on that same A by ``rigidity_probe``).  Any
     decomposition x then has sum of x_J over cuts outside the support
     <= y'A x = y'd = 0, so it lives on the support, whose cut vectors are
     linearly independent.  On a line the support is a set of prefix cuts,
@@ -495,24 +495,6 @@ def _line_dual(line: LineMetricCert) -> list[int]:
     return y
 
 
-def _check_uniqueness(
-    ys: Sequence[int], q: int, A: np.ndarray, bs: Sequence[int], x_star: Sequence
-) -> None:
-    """Check in integers that y = ys / q (q > 0) proves x* the only
-    decomposition (``RigidityReport``): y'd = 0, and y'A_J >= 1 for every
-    cut J outside the support of x*, >= 0 inside it, pairing ys with the
-    cached cut incidence A (``coeffs._cut_incidence``); ``bs`` are the
-    numerators of d's pairs in A's row order, over any positive
-    denominator.  Raises ``InternalError`` if not."""
-    if sum(a * b for a, b in zip(ys, bs)) != 0:
-        raise InternalError("uniqueness certificate: y'd != 0")
-    loads = _pairings(ys, A)  # q * y'A_J
-    floors = np.where(np.array(x_star, dtype=bool), 0, q)
-    short = np.flatnonzero(loads < floors)
-    if short.size:
-        raise InternalError(f"uniqueness certificate fails on cut column {short[0]}")
-
-
 def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityReport:
     """Decide whether d has exactly one cut decomposition, with a proof.
 
@@ -523,10 +505,12 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     which lies inside the simplex basis, so the cut vectors of S are
     linearly independent, and one warm-started LP maximizes the total
     weight outside S: the decomposition is unique iff that optimum is 0,
-    and its dual is then the certificate.  Either certificate is checked
-    here in integers (``_check_uniqueness``).  A unique x* is the optimum
-    of every objective, so the report is what ``trials`` objectives would
-    observe, built without solving them.
+    and its dual is then the certificate.  Both take one rigid exit, which
+    checks y = ys / q in integers: y'd = 0, and the floors of
+    ``RigidityReport`` through the dual check Farkas vectors share
+    (``coeffs._stray_column``).  A unique x* is the optimum of every
+    objective, so the report is what ``trials`` objectives would observe,
+    built without solving them.
 
     When it is not unique, the cut system is re-solved under ``trials``
     objectives, alternating between single-cut min/max pairs (cycling
@@ -552,29 +536,32 @@ def rigidity_probe(d: SemiMetric, trials: int = 20, seed: int = 0) -> RigidityRe
     if isinstance(line, LineMetricCert):
         # the canonical cuts are the odd masks below the full set,
         # ascending: cut c is column c >> 1; each gap's numerator over den
-        # goes to its prefix cut
-        x_nums, prefix = [0] * n, 0
+        # goes to its prefix cut; only the report builds rationals
+        xs, prefix = [0] * n, 0
         for a, b in zip(line.order, line.order[1:]):
             prefix |= 1 << a
-            x_nums[canonical_cut(prefix, d.p) >> 1] = rows[a][b]
-        ys = _line_dual(line)
-        _check_uniqueness(ys, 1, A, bs, x_nums)
-        x_star = from_common_numerators(x_nums, den)
-        ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
+            xs[canonical_cut(prefix, d.p) >> 1] = rows[a][b]
+        ys, q, excess = _line_dual(line), 1, 0
+        x_star = from_common_numerators(xs, den)
         certificate = tuple(from_common_numerators(ys, 1))
-        return RigidityReport(d.p, ranges, True, None, trials, certificate)
-
-    lp = ExactSimplex(A, [d.d[i][j] for i, j in pairs])
-    if not lp.feasible:
-        raise NotInCutCone("semimetric admits no cut decomposition")
-    x_star = lp.witness()
-    decider = lp.copy()
-    excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
+    else:
+        lp = ExactSimplex(A, [d.d[i][j] for i, j in pairs])
+        if not lp.feasible:
+            raise NotInCutCone("semimetric admits no cut decomposition")
+        x_star = lp.witness()
+        decider = lp.copy()
+        excess, x_other = decider.maximize([0 if v else 1 for v in x_star])
+        certificate = tuple(decider.dual)
+        ys, q = to_common_numerators(certificate)
+        xs, _ = to_common_numerators(x_star)
     if excess == 0:
-        y = decider.dual
-        _check_uniqueness(*to_common_numerators(y), A, bs, x_star)
-        ranges = tuple((c, x, x) for c, x in zip(cols, x_star))
-        return RigidityReport(d.p, ranges, True, None, trials, tuple(y))
+        if sum(y * b for y, b in zip(ys, bs)) != 0:
+            raise InternalError("uniqueness certificate: y'd != 0")
+        short = _stray_column(ys, A, floor=np.where(np.array(xs, dtype=bool), 0, q))
+        if short is not None:
+            raise InternalError(f"uniqueness certificate fails on cut column {short}")
+        ranges = tuple((c, v, v) for c, v in zip(cols, x_star))
+        return RigidityReport(d.p, ranges, True, None, trials, certificate)
 
     lo: list[Rat | None] = [None] * n
     hi: list[Rat | None] = [None] * n

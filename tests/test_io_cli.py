@@ -351,6 +351,16 @@ class TestCliExitCodes:
         assert f"error: subset [{label}] out of range for p=3" in err
         assert f"error: target set [{label}] out of range for p=3" in err
 
+    def test_empty_target_set_is_refused_before_sampling(self, workdir, tmp_path, capsys):
+        # mask 0 is no subset; it used to pass the read and fail after the draw
+        targets = tmp_path / "t.json"
+        targets.write_text(json.dumps({"lambda": [[]]}))
+        samples = tmp_path / "s.bin"
+        assert main(["simulate", "--model", str(workdir / "model.json"), "--n", "1000",
+                     "--u", "1", "--targets", str(targets), "--samples-out", str(samples)]) == 2
+        assert not samples.exists()
+        assert "error: target set [] out of range for p=3" in capsys.readouterr().err
+
     def test_report_refuses_large_p_before_building_arrays(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise RuntimeError("a 2**p array was built")

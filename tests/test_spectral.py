@@ -4,6 +4,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -499,22 +500,21 @@ class TestUniquenessDecider:
         assert len(solvers) == 1  # not a line: the cold start
 
     def test_uniqueness_check_pairs_the_cut_system_array(self, monkeypatch):
-        # one incidence from builder to check: _check_uniqueness pairs the
-        # very array cut_system returns, for a line's closed-form dual and
-        # for an LP dual
+        # one incidence from builder to check: the shared dual check pairs
+        # the very array cut_system returns, for a line's closed-form dual
+        # and for an LP dual
         from taildep import realize
 
         line = line_metric_from_weights([2, 0, 3, 1], [3, 0, 4, 2, 1])
-        # built before the patch: a cut metric's reconstruction pairs too
         cuts = random_cut_metric(5, random.Random(0), n_cuts=3)
         assert isinstance(detect_line_metric(cuts), NotLine)
-        paired, pairings = [], spectral._pairings
+        paired, check = [], spectral._stray_column
 
-        def pair(nums, incidence):
+        def pair(ys, incidence, **bounds):
             paired.append(incidence)
-            return pairings(nums, incidence)
+            return check(ys, incidence, **bounds)
 
-        monkeypatch.setattr(spectral, "_pairings", pair)
+        monkeypatch.setattr(spectral, "_stray_column", pair)
         for d in (line, cuts):
             assert rigidity_probe(d).rigid_consistent
         assert len(paired) == 2
@@ -636,26 +636,33 @@ class TestUniquenessDecider:
         d = random_cut_metric(4, random.Random(1))
         assert isinstance(detect_line_metric(d), NotLine)
         assert any(rigidity_probe(d, trials=20).certificate)
+        assert d.d[0][1] != 0  # so shifting the first entry moves y'd
         maximize = ExactSimplex.maximize
+        for tamper, message in (
+            (lambda y: [-v for v in y], "uniqueness certificate fails on cut column 3"),
+            (lambda y: [y[0] + 1, *y[1:]], "uniqueness certificate: y'd != 0"),
+        ):
+            def tampered(self, costs, tamper=tamper):
+                out = maximize(self, costs)
+                self.dual = tamper(self.dual)
+                return out
 
-        def flipped(self, costs):
-            out = maximize(self, costs)
-            self.dual = [-v for v in self.dual]
-            return out
-
-        monkeypatch.setattr(ExactSimplex, "maximize", flipped)
-        with pytest.raises(InternalError):
-            rigidity_probe(d, trials=20)
+            monkeypatch.setattr(ExactSimplex, "maximize", tampered)
+            with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
+                rigidity_probe(d, trials=20)
 
     @pytest.mark.parametrize(
-        "tamper",
-        [lambda y: [-v for v in y], lambda y: [y[0] + 1, *y[1:]]],
+        "tamper, message",
+        [
+            (lambda y: [-v for v in y], "uniqueness certificate fails on cut column 2"),
+            (lambda y: [y[0] + 1, *y[1:]], "uniqueness certificate: y'd != 0"),
+        ],
         ids=["negated", "first-entry-off"],
     )
-    def test_tampered_line_dual_raises_internal_error(self, line_metric, monkeypatch, tamper):
+    def test_tampered_line_dual_raises_internal_error(self, line_metric, monkeypatch, tamper, message):
         line_dual = spectral._line_dual
         monkeypatch.setattr(spectral, "_line_dual", lambda line: tamper(line_dual(line)))
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match=f"^{re.escape(message)}$"):
             rigidity_probe(line_metric, trials=20)
 
 
