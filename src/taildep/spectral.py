@@ -37,7 +37,7 @@ import numpy as np
 
 from .coeffs import (
     Kind, SubsetFn, TdMatrix, _cut_incidence, _incidence, _pairings, _separates,
-    _stray_column, check_dimension, sdr_rows, spectral_distance_entry,
+    _stray_column, check_dimension, lambda_from_beta, sdr_rows, spectral_distance_entry,
 )
 from .errors import InternalError, MalformedMatrix, NotInCutCone
 from .lp import ExactSimplex
@@ -324,11 +324,18 @@ class LineTmModel:
         """(rising, falling, e): the halves (m_k +- x_k) / 2 of the line as
         integer numerators over one denominator e (``_line_halves``), for
         ``higher_order_from_line``.  Cached outside the fields, like
-        ``LineMetricCert``'s caches."""
+        ``LineMetricCert``'s caches, and so is ``_lambdas``."""
         return _line_halves(self.cert, *to_common_numerators(self.marginals))
 
+    @cached_property
+    def _lambdas(self) -> tuple[np.ndarray, int]:
+        """(numerators, denominator) of the model's lambda over every subset
+        J, at index J - 1: one superset-sum transform of beta, against which
+        ``higher_order_from_line`` checks each value."""
+        return lambda_from_beta(self.model.beta)._numerators()
+
     def __getstate__(self) -> dict:
-        # pickle the fields only, not the cache
+        # pickle the fields only, not the caches
         return {"model": self.model, "cert": self.cert, "marginals": self.marginals}
 
 
@@ -416,12 +423,13 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
     is the same as containing its extreme positions lo <= hi, and
     lambda(J) = (m_lo + m_hi - (x_hi - x_lo)) / 2 for the marginals m and
     the distances x from position 0; both halves are found once per line,
-    as integer numerators over one denominator.  The value is checked
-    against the model's own sum over the atoms containing J, in integers.
+    as integer numerators over one denominator.  The value is checked, in
+    integers, against the model's lambda(J) from one superset-sum table,
+    also built once per line.
     """
     order = line_model.cert.order
     p = len(order)
-    if subset == 0 or subset >= (1 << p):
+    if not 0 < subset < 1 << p:
         raise ValueError(f"subset mask {subset} out of range")
     # J's extreme positions: the first and the last line position in J
     lo, hi = 0, p - 1
@@ -431,9 +439,8 @@ def higher_order_from_line(line_model: LineTmModel, subset: int) -> Rat:
         hi -= 1
     rising, falling, den = line_model._halves
     value = rising[lo] + falling[hi]
-    masks, nums, mden = line_model.model._support_numerators
-    inside = sum([n for mask, n in zip(masks, nums) if mask & subset == subset])
-    if value * mden != inside * den:
+    table, tden = line_model._lambdas
+    if value * tden != table.item(subset - 1) * den:
         raise InternalError("line formula disagrees with the model's lambda")
     g = math.gcd(value, den)
     return _reduced(value // g, den // g)

@@ -217,7 +217,7 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     """
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
-    if subset == 0 or subset >= (1 << model.p):
+    if not 0 < subset < 1 << model.p:
         raise DomainError(f"subset mask {subset} out of range")
     masks, nums, den = model._support_numerators
     bits = [i for i in range(model.p) if subset >> i & 1]
@@ -240,7 +240,7 @@ def exact_union_exceedance(model: TmModel, subset: int, u: float) -> float:
     """P[X_i > u for some i in the subset] = 1 - exp(-theta(subset)/u)."""
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
-    if subset == 0 or subset >= (1 << model.p):
+    if not 0 < subset < 1 << model.p:
         raise DomainError(f"subset mask {subset} out of range")
     return -math.expm1(-float(model.theta_of(subset)) / u)
 

@@ -357,9 +357,9 @@ class TestIntegerLinePath:
         if isinstance(want, LineMetricCert):
             assert _typed(got.weights) == _typed(want.weights)
 
-    @pytest.mark.parametrize("cache", ["halves", "support"])
+    @pytest.mark.parametrize("cache", ["halves", "lambdas"])
     def test_tampered_collapse_raises_internal_error(self, line_metric, monkeypatch, cache):
-        # the line formula is checked against the model's own support sum
+        # the line formula is checked against the model's own lambda table
         built = line_tm_model(detect_line_metric(line_metric), [2, 2, 2])
         subset = mask_of(1, 3)
         assert higher_order_from_line(built, subset) == rat(1, 2)
@@ -368,10 +368,32 @@ class TestIntegerLinePath:
             tampered = ([v + 1 for v in rising], falling, den)
             monkeypatch.setitem(built.__dict__, "_halves", tampered)
         else:
-            masks, nums, den = built.model._support_numerators
-            tampered = (masks, [n + 1 for n in nums], den)
-            monkeypatch.setitem(built.model.__dict__, "_support_numerators", tampered)
+            table, den = built._lambdas
+            table = table.copy()
+            table[subset - 1] += 1
+            monkeypatch.setitem(built.__dict__, "_lambdas", (table, den))
         with pytest.raises(InternalError):
+            higher_order_from_line(built, subset)
+
+    def test_collapse_transforms_beta_once_per_line(self, monkeypatch):
+        calls = []
+
+        def counting(beta):
+            calls.append(beta)
+            return lambda_from_beta(beta)
+
+        monkeypatch.setattr(spectral, "lambda_from_beta", counting)
+        d = line_metric_from_weights([1, rat(1, 3), 2, 0, rat(5, 2)], [4, 0, 2, 5, 1, 3])
+        built = line_tm_model(detect_line_metric(d), [6] * 6)
+        lam = lambda_from_beta(built.model.beta)
+        for subset in range(1, 1 << d.p):
+            assert higher_order_from_line(built, subset) == lam[subset]
+        assert calls == [built.model.beta]
+
+    @pytest.mark.parametrize("subset", [-1, -3, 1 << 3])
+    def test_collapse_rejects_masks_out_of_range(self, line_metric, subset):
+        built = line_tm_model(detect_line_metric(line_metric), [2, 2, 2])
+        with pytest.raises(ValueError, match=f"subset mask {subset} out of range"):
             higher_order_from_line(built, subset)
 
     def test_tampered_line_weights_raise_internal_error(self, line_metric, monkeypatch):
@@ -397,6 +419,17 @@ class TestIntegerLinePath:
         assert repr(line_metric) == repr(twin)
         clone = pickle.loads(pickle.dumps(line_metric))
         assert "_row_numerators" not in clone.__dict__ and clone == line_metric
+
+    def test_line_model_caches_stay_outside_the_fields(self, line_metric):
+        cert = detect_line_metric(line_metric)
+        built, twin = line_tm_model(cert, [2, 2, 2]), line_tm_model(cert, [2, 2, 2])
+        higher_order_from_line(built, mask_of(1, 3))
+        assert {"_halves", "_lambdas"} <= built.__dict__.keys()
+        assert built == twin and hash(built) == hash(twin)
+        assert repr(built) == repr(twin)
+        clone = pickle.loads(pickle.dumps(built))
+        assert not {"_halves", "_lambdas"} & clone.__dict__.keys()
+        assert clone == built
 
 
 class TestRigidityProbe:

@@ -32,6 +32,7 @@ from taildep.tm import (
     cdf,
     cdf_exponent,
     exact_joint_exceedance,
+    exact_union_exceedance,
     exceedance_set_dist,
     model_from_bernoulli,
     synthesize,
@@ -215,6 +216,12 @@ class TestExactJointExceedance:
     def test_invalid_threshold(self, line_model):
         with pytest.raises(DomainError):
             exact_joint_exceedance(line_model, 1, 0.0)
+
+    @pytest.mark.parametrize("law", [exact_joint_exceedance, exact_union_exceedance])
+    @pytest.mark.parametrize("subset", [-1, -3, 1 << 3])
+    def test_masks_out_of_range(self, line_model, law, subset):
+        with pytest.raises(DomainError, match=f"subset mask {subset} out of range"):
+            law(line_model, subset, 100.0)
 
     def test_large_threshold_keeps_the_line_pair(self, line_model):
         # every exp(-theta/u) rounds to 1.0 here; the answer is still ~lam/u
