@@ -186,12 +186,10 @@ def _outcome_payload(outcome) -> dict:
         "rows": [[i + 1, j + 1] for i, j in rows(outcome.p)],
     }
     if outcome.status is Status.FEASIBLE:
-        if outcome.model is not None:
-            payload["witness"] = tio.tm_model_to_json(outcome.model)
-        if outcome.cuts is not None:
-            payload["cuts"] = tio.cuts_to_json(outcome.cuts)
-        if outcome.scale is not None:
-            payload["scale"] = rat_str(outcome.scale)
+        payload["witness"] = tio.tm_model_to_json(outcome.model)
+        if outcome.problem == "sdr":  # both read off the one witness
+            payload["cuts"] = tio.cuts_to_json(cut_decomposition(outcome.model))
+            payload["scale"] = rat_str(outcome.model.lambda_of(1))
     else:
         payload["farkas"] = [rat_str(y) for y in outcome.farkas]
     return payload
@@ -237,7 +235,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tio.write_samples_binary(args.samples_out, xs)
     hist = exceedance_set_histogram(xs, args.u)
     rep = estimation_report(model, hist, lam_t, th_t)
-    dist = exceedance_set_dist(model) if not model.is_degenerate else None
     digits = args.precision
     payload = {
         "n": args.n,
@@ -264,12 +261,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 }
                 for m, c in hist.counts
             ],
+            # sample() has refused a degenerate model, so the limit exists
+            "tv_distance_to_limit": _round_sig(
+                tv_distance(hist, exceedance_set_dist(model)), digits
+            ),
         },
     }
-    if dist is not None:
-        payload["exceedance_histogram"]["tv_distance_to_limit"] = _round_sig(
-            tv_distance(hist, dist), digits
-        )
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -69,7 +69,10 @@ def _entries_from_json(items: Sequence[Mapping[str, Any]], p: int) -> dict[int, 
     check_dimension(p)  # a huge "p" is refused before anything is sized by it
     out: dict[int, Rat] = {}
     for item in items:
-        out[_mask(_get(item, "set", "array"), p, "subset")] = rat(str(item["value"]))
+        mask = _mask(_get(item, "set", "array"), p, "subset")
+        if mask in out:  # [1, 2] and [2, 1] are one subset
+            raise MalformedInput(f"subset {list(labels_of(mask))} is listed twice")
+        out[mask] = rat(str(item["value"]))
     return out
 
 

@@ -11,15 +11,13 @@ it a nonnegative combination of cut semimetrics?
 
 Both are decided by exact rational LP feasibility over the full exponential
 variable set, so answers on the realizability boundary are trustworthy.
-Every answer ships with an independently checkable certificate: a witness
-model (for SDR also its cut weights) satisfying the constraints exactly, or
-a Farkas vector proving no such weights exist.  An SDR model at common
-marginal scale s is itself a TDR witness, for lambda_ij = s - d_ij / 2, by
-the paper's correspondence d_ij = lambda_ii + lambda_jj - 2 lambda_ij
-between tail-dependence matrices and spectral distances; so every model
-is checked the same way.  The exponential column count is the honest price
-of exactness here; the default size guard documents it rather than hiding
-it.
+Every answer ships with one independently checkable certificate: a witness
+model satisfying the constraints exactly, or a Farkas vector proving no
+such weights exist.  An SDR model with common marginal s is itself a TDR
+witness for lambda_ij = s - d_ij / 2, by the paper's correspondence
+d_ij = lambda_ii + lambda_jj - 2 lambda_ij, so every model is checked the
+same way.  The exponential column count is the honest price of exactness
+here; the default size guard documents it rather than hiding it.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import (
-    Kind, SubsetFn, TdMatrix, _covers, _cut_incidence, _incidence, _pairings, _separates,
-    _stray_column, _tdr_incidence, lambda_from_beta, sdr_rows, tdr_rows,
+    Kind, SubsetFn, TdMatrix, _covers, _cut_incidence, _incidence, _pairings, _stray_column,
+    _tdr_incidence, lambda_from_beta, sdr_rows, tdr_rows,
 )
 from .errors import (
     CertificateRejected,
@@ -44,7 +42,7 @@ from .errors import (
 )
 from .lp import ExactSimplex, SimplexStats
 from .rationals import Rat, RatLike, ZERO, rat, to_common_numerators
-from .spectral import CutDecomposition, SemiMetric
+from .spectral import SemiMetric
 from .subsets import canonical_cuts, full_mask
 from .tm import TmModel, synthesize
 
@@ -69,8 +67,7 @@ class FeasibilityOutcome:
     """Decision plus its certificate.
 
     FEASIBLE: ``model`` is the witness, solving every constraint exactly;
-    for SDR the raw cut weights live in ``cuts`` and ``model`` is the
-    materialized equal-margin model at marginal scale ``scale``.
+    for SDR the equal-margin model, which holds the cut weights and scale.
     INFEASIBLE: ``farkas`` is a row multiplier vector, one entry per
     constraint row (``tdr_rows(p)``/``sdr_rows(p)``, in order), with
     nonpositive pairing against every variable column and positive pairing
@@ -82,8 +79,6 @@ class FeasibilityOutcome:
     status: Status
     p: int
     model: TmModel | None = None
-    cuts: CutDecomposition | None = None
-    scale: Rat | None = None  # SDR: the materialized common marginal scale
     farkas: tuple | None = None
     stats: SimplexStats | None = field(default=None, compare=False)
 
@@ -144,13 +139,14 @@ def sdr_auto_scale(d: SemiMetric) -> Rat:
 
 def materialize_sdr_model(
     d: SemiMetric, cols: Sequence[int], weights: Sequence[Rat], scale: Rat
-) -> tuple[TmModel, CutDecomposition]:
+) -> TmModel:
     """Equal-margin model from cut weights: split each cut evenly, top up.
 
     Placing half of each cut's weight on both sides of the partition gives
     every component the same marginal scale (each pair {J, J^c} contains
     any given component exactly once), so a single full-set slack weight
-    reaches any requested common scale at least that large.
+    reaches any requested common scale at least that large.  Its
+    ``spectral.cut_decomposition`` gives back the nonzero weights and slack.
     """
     p = d.p
     fm = full_mask(p)
@@ -168,13 +164,7 @@ def materialize_sdr_model(
         entries[fm ^ mask] = entries.get(fm ^ mask, ZERO) + w / 2
     if slack > 0:
         entries[fm] = entries.get(fm, ZERO) + slack
-    model = TmModel.from_entries(p, entries)
-    cuts = CutDecomposition(
-        p,
-        tuple((m, w) for m, w in zip(cols, weights) if w != 0),
-        slack,
-    )
-    return model, cuts
+    return TmModel.from_entries(p, entries)
 
 
 def decide_sdr(
@@ -190,10 +180,8 @@ def decide_sdr(
         )
     weights = lp.witness()
     c = sdr_auto_scale(d) if scale == "auto" else rat(scale)
-    model, cuts = materialize_sdr_model(d, cols, weights, c)
-    return FeasibilityOutcome(
-        "sdr", Status.FEASIBLE, d.p, model=model, cuts=cuts, scale=c, stats=lp.stats
-    )
+    model = materialize_sdr_model(d, cols, weights, c)
+    return FeasibilityOutcome("sdr", Status.FEASIBLE, d.p, model=model, stats=lp.stats)
 
 
 def normalize_sdr_to_tdr(d: SemiMetric) -> TdMatrix:
@@ -249,13 +237,12 @@ def verify_certificate(
 
     * a TDR ``model`` must sum, over the subsets covering each row pair,
       to that pair's coefficient;
-    * SDR cut weights on distinct proper cuts must sum, over the cuts
-      separating each pair, to its distance;
-    * an SDR ``model`` and its ``scale`` come together or not at all, and
-      the model at scale s is checked as a TDR witness: by
-      d_ij = lambda_ii + lambda_jj - 2 lambda_ij, a model with every
-      marginal s has distances d iff its sums over the subsets covering
-      each pair i <= j are lambda_ij = s - d_ij / 2 (d_ii = 0);
+    * an SDR ``model`` is checked as a TDR witness at its own first
+      marginal s: by d_ij = lambda_ii + lambda_jj - 2 lambda_ij, a model
+      with every marginal s has distances d iff its sums over the subsets
+      covering each pair i <= j are lambda_ij = s - d_ij / 2 (d_ii = 0);
+      its cut weights (``spectral.cut_decomposition``) and scale are
+      read off it, so they need no check of their own;
     * a Farkas vector y must pair positively with the right-hand side and
       nonpositively with every column (ceiling 0).
 
@@ -292,35 +279,19 @@ def verify_certificate(
         return True
 
     model = outcome.model
-    if outcome.problem == "sdr":
-        cuts = outcome.cuts
-        if cuts is None or any(w < 0 for _, w in cuts.cuts):
-            raise CertificateRejected("missing or negative cut weights")
-        masks = [m for m, _ in cuts.cuts]
-        # the empty set, the full set and masks beyond p separate nothing
-        if len(set(masks)) != len(masks) or not all(0 < m < full_mask(p) for m in masks):
-            raise CertificateRejected("cut masks are not distinct proper cuts")
-        nums, den = to_common_numerators([w for _, w in cuts.cuts])
-        _mismatch("cut reconstruction", nums, den, _incidence(_separates, rows, masks),
-                  rows, bs, r)
-        # the model is checked at its scale, so one without the other is
-        # a witness that cannot be checked, or a scale with no witness
-        if (model is None) != (outcome.scale is None):
-            raise CertificateRejected("SDR model and scale must come together")
-        if model is None:
-            return True
-        # with s = n / q and d = b / r: lambda_ij = (2nr - q b_ij) / (2qr).
-        # The covers incidence is built here, not taken from the TDR cache,
-        # so an SDR check pins no TDR incidence.
-        n, q = outcome.scale.as_integer_ratio()
-        rows = tdr_rows(p)
-        bs, r = to_common_numerators([target[i][j] for i, j in rows])
-        bs, r = [2 * n * r - q * b for b in bs], 2 * q * r
-        A = _incidence(_covers, rows, range(1, 1 << p))
     if model is None:
         raise CertificateRejected("missing witness")
     if model.p != p:
         raise CertificateRejected("dimension mismatch")
+    if outcome.problem == "sdr":
+        # at its own first marginal s = n / q (rows (i, i) hold the others to
+        # s), with d = b / r: lambda_ij = (2nr - q b_ij) / (2qr).  Covers are
+        # built here, not taken from the TDR cache, to pin no TDR incidence.
+        n, q = model.lambda_of(1).as_integer_ratio()
+        rows = tdr_rows(p)
+        bs, r = to_common_numerators([target[i][j] for i, j in rows])
+        bs, r = [2 * n * r - q * b for b in bs], 2 * q * r
+        A = _incidence(_covers, rows, range(1, 1 << p))
     _mismatch("witness pair sum", *model.beta._numerators(), A, rows, bs, r)
     return True
 

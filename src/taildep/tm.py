@@ -45,6 +45,12 @@ from .rationals import Rat, RatLike, ZERO, rat
 from .subsets import set_str
 
 
+def _check_mask(mask: int, p: int) -> None:
+    """Refuse anything but a nonempty subset of {1, ..., p}."""
+    if not 0 < mask < 1 << p:
+        raise DomainError(f"subset mask {mask} out of range for p={p}")
+
+
 @dataclass(frozen=True)
 class TmModel:
     """Max-stable model given by nonnegative subset weights.
@@ -105,10 +111,12 @@ class TmModel:
 
     def theta_of(self, mask: int) -> Rat:
         """theta(K) for one subset: an integer sum over the atoms meeting K."""
+        _check_mask(mask, self.p)
         masks, nums, den = self._support_numerators
         return rat(sum(n for m, n in zip(masks, nums) if m & mask), den)
 
     def lambda_of(self, mask: int) -> Rat:
+        _check_mask(mask, self.p)
         masks, nums, den = self._support_numerators
         return rat(sum(n for m, n in zip(masks, nums) if m & mask == mask), den)
 
@@ -217,8 +225,7 @@ def exact_joint_exceedance(model: TmModel, subset: int, u: float) -> float:
     """
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
-    if not 0 < subset < 1 << model.p:
-        raise DomainError(f"subset mask {subset} out of range")
+    _check_mask(subset, model.p)
     masks, nums, den = model._support_numerators
     bits = [i for i in range(model.p) if subset >> i & 1]
     full = (1 << len(bits)) - 1
@@ -240,8 +247,6 @@ def exact_union_exceedance(model: TmModel, subset: int, u: float) -> float:
     """P[X_i > u for some i in the subset] = 1 - exp(-theta(subset)/u)."""
     if not u > 0:
         raise DomainError(f"threshold must be positive, got {u}")
-    if not 0 < subset < 1 << model.p:
-        raise DomainError(f"subset mask {subset} out of range")
     return -math.expm1(-float(model.theta_of(subset)) / u)
 
 
@@ -267,6 +272,7 @@ class ExceedanceSetDist:
         return dict(self.pmf)
 
     def probability(self, mask: int) -> Rat:
+        _check_mask(mask, self.p)
         for m, q in self.pmf:
             if m == mask:
                 return q
@@ -274,10 +280,12 @@ class ExceedanceSetDist:
 
     def hitting(self, mask: int) -> Rat:
         """P[exceedance set meets the given subset]."""
+        _check_mask(mask, self.p)
         return sum((q for m, q in self.pmf if m & mask), ZERO)
 
     def inclusion(self, mask: int) -> Rat:
         """P[exceedance set contains the given subset]."""
+        _check_mask(mask, self.p)
         return sum((q for m, q in self.pmf if m & mask == mask), ZERO)
 
 

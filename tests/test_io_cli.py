@@ -179,6 +179,34 @@ class TestCliExitCodes:
         assert payload["status"] == "feasible"
         assert payload["scale"] == "18/1"
 
+    @pytest.mark.parametrize(
+        "scale, top, slack",
+        [([], "33/2", "33/2"), (["--scale", "35/2"], "16/1", "16/1")],
+        ids=["auto", "35/2"],
+    )
+    def test_realize_sdr_output_is_pinned(self, workdir, capsys, scale, top, slack):
+        # the whole stdout, byte for byte: "cuts" and "scale" are read off
+        # the witness, which splits each cut weight w as w/2 on both sides
+        # and tops the full set up to the scale
+        def entries(*pairs):
+            return [{"set": s, "value": v} for s, v in pairs]
+
+        code = main(["realize", "sdr", "--in", str(workdir / "d.csv"), *scale])
+        assert code == 0
+        expected = {
+            "problem": "sdr",
+            "status": "feasible",
+            "p": 3,
+            "rows": [[1, 2], [1, 3], [2, 3]],
+            "witness": {"p": 3, "beta": entries(
+                ([1], "1/2"), ([1, 2], "1/1"), ([3], "1/1"), ([2, 3], "1/2"), ([1, 2, 3], top),
+            )},
+            "cuts": {"p": 3, "cuts": entries(([1], "1/1"), ([1, 2], "2/1")),
+                     "slack_full": slack},
+            "scale": scale[1] if scale else "18/1",
+        }
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
     def test_linemetric_detection_and_model(self, workdir, capsys):
         code = main(
             ["linemetric", "--in", str(workdir / "d.csv"), "--marginals", "2,2,2"]
@@ -316,6 +344,39 @@ class TestCliExitCodes:
         model = TmModel.from_entries(7, {1: 1})
         (tmp_path / "m7.json").write_text(json.dumps(tio.tm_model_to_json(model)))
         assert main(["report", "--model", str(tmp_path / "m7.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (["report", "--model"],
+             {"p": 3, "beta": [{"set": [1], "value": "1"}, {"set": [1], "value": "2"}]}),
+            (["invert", "--to", "beta", "--in"],
+             {"p": 2, "kind": "lambda", "entries": [
+                 {"set": [1, 2], "value": "1/2"}, {"set": [1], "value": "1"},
+                 {"set": [2, 1], "value": "1/4"}]}),
+        ],
+        ids=["report-model", "invert-in"],
+    )
+    def test_repeated_subset_exit_2(self, tmp_path, capsys, command, payload):
+        # a second entry for a subset used to overwrite the first silently
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        assert main([*command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: subset [1")
+        assert "] is listed twice" in err
+
+    def test_simulate_degenerate_model_exit_2(self, tmp_path, capsys):
+        # all weights zero: nothing to sample, so no report and no sample file
+        model, samples = tmp_path / "m.json", tmp_path / "s.bin"
+        model.write_text('{"p": 2, "beta": []}')
+        code = main(["simulate", "--model", str(model), "--n", "10", "--u", "1",
+                     "--samples-out", str(samples)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert not samples.exists()
 
     @pytest.mark.parametrize(
         "command", [["report", "--model"], ["simulate", "--n", "10", "--u", "1", "--model"]]

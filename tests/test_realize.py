@@ -182,7 +182,7 @@ class TestDecideSdr:
         out = decide_sdr(line_metric)
         assert out.feasible
         assert verify_certificate(out, line_metric)
-        assert out.scale == sdr_auto_scale(line_metric) == 18
+        assert out.model.lambda_of(1) == sdr_auto_scale(line_metric) == 18
         assert set(out.model.marginal_scales()) == {rat(18)}
 
     def test_k23_infeasible_with_verified_farkas(self):
@@ -195,7 +195,7 @@ class TestDecideSdr:
         d = SemiMetric.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
         out = decide_sdr(d)
         assert out.feasible
-        assert out.cuts.cuts == ()
+        assert cut_decomposition(out.model).cuts == ()
         assert out.model.support() == ()
 
     def test_explicit_scale_and_too_small_scale(self, line_metric):
@@ -218,7 +218,7 @@ class TestDecideSdr:
         assert out.feasible
         # no pairs and no cuts: a requested scale is all full-set slack
         out = decide_sdr(d, scale="5")
-        assert out.feasible and out.scale == 5
+        assert out.feasible and out.model.lambda_of(1) == 5
         assert out.model.support() == ((1, rat(5)),)
         assert verify_certificate(out, d)
         with pytest.raises(ScaleTooSmall):
@@ -284,22 +284,22 @@ class TestCertificates:
         with pytest.raises(CertificateRejected, match=sums):
             verify_certificate(bad, L)
 
-    def test_sdr_model_and_scale_come_together(self, line_metric):
-        # the CLI writes an SDR model out as the witness, and it is checked
-        # at its scale: a model without a scale, or a scale without a model,
-        # is rejected rather than passed unchecked
+    def test_sdr_model_is_checked_at_its_own_marginal(self, line_metric):
+        # the SDR model is the one witness, and its scale is its own first
+        # marginal: the comonotone model at 5 has every distance 0, so it
+        # fails at the first pair, whose target is 5 - d_12 / 2 = 9/2
         d = line_metric
         out = decide_sdr(d)
-        together = "^SDR model and scale must come together$"
-        bad = replace(out, scale=None, model=TmModel.from_entries(3, {7: 5}))
-        with pytest.raises(CertificateRejected, match=together):
+        bad = replace(out, model=TmModel.from_entries(3, {7: 5}))
+        sums = r"^witness pair sum at \(1,2\) is 5, expected 9/2$"
+        with pytest.raises(CertificateRejected, match=sums):
             verify_certificate(bad, d)
-        with pytest.raises(CertificateRejected, match=together):
-            verify_certificate(replace(out, scale=None), d)
-        with pytest.raises(CertificateRejected, match=together):
+        # a model realizing d at another common scale is a valid witness
+        other = decide_sdr(d, scale=rat(5, 2)).model
+        assert other != out.model
+        assert verify_certificate(replace(out, model=other), d)
+        with pytest.raises(CertificateRejected, match="^missing witness$"):
             verify_certificate(replace(out, model=None), d)
-        # neither: the cut weights alone are checked
-        assert verify_certificate(replace(out, model=None, scale=None), d)
 
     def test_missing_farkas_rejected(self):
         for decide, instance in (
@@ -368,18 +368,12 @@ class TestCertificates:
         d = SemiMetric.from_rows([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
         out = decide_sdr(d)
         assert verify_certificate(out, d)
-        cuts = replace(out.cuts, cuts=((1, rat(-1)), (3, rat(2))))
-        with pytest.raises(CertificateRejected, match="^missing or negative cut weights$"):
-            verify_certificate(replace(out, cuts=cuts), d)
-        cuts = replace(out.cuts, cuts=((1, rat(3, 2)), (3, rat(2))))
-        recon = r"^cut reconstruction at \(1,2\) is 3/2, expected 1$"
-        with pytest.raises(CertificateRejected, match=recon):
-            verify_certificate(replace(out, cuts=cuts), d)
-        # the model is a TDR witness for lambda_ij = 18 - d_ij / 2
+        # the model is a TDR witness for lambda_ij = s - d_ij / 2, s its
+        # first marginal: bumping atom {1} moves s to 19
         atoms = dict(out.model.support())
         atoms[1] += 1
         model = TmModel.from_entries(3, atoms)
-        marginal = r"^witness pair sum at \(1,1\) is 19, expected 18$"
+        marginal = r"^witness pair sum at \(1,2\) is 35/2, expected 37/2$"
         with pytest.raises(CertificateRejected, match=marginal):
             verify_certificate(replace(out, model=model), d)
         # every marginal 18, every distance 0
@@ -393,13 +387,12 @@ class TestCertificates:
             verify_certificate(replace(out, model=model), d)
 
     def test_witness_checks_match_rational_sums(self, rng):
-        # the integer checks of TDR witnesses and of SDR cut weights and
-        # models against plain rational sums, on perturbed witnesses; every
-        # second trial scales instance and witness by 2**90 (leaving int64)
+        # the integer checks of TDR and SDR witnesses against plain rational
+        # sums, on perturbed witnesses; every second trial scales instance
+        # and witness by 2**90 (leaving int64)
         from dataclasses import replace
 
         from taildep.coeffs import Kind, SubsetFn
-        from taildep.spectral import CutDecomposition
 
         def covers(mask, i, j):
             return mask >> i & 1 and mask >> j & 1
@@ -447,27 +440,16 @@ class TestCertificates:
                     assert accepts(replace(tdr, model=witness), Lc) == valid
                     seen.add(valid)
 
-                masks = [m for m, _ in sdr.cuts.cuts]
-                weights = list(zip(masks, perturbed(c * w for _, w in sdr.cuts.cuts)))
-                valid = min(w for _, w in weights) >= 0 and sums_hold(
-                    weights, separates, sdr_pairs, lambda i, j: dc.d[i][j]
-                )
-                cuts = CutDecomposition(p, tuple(weights), c * sdr.cuts.slack_full)
-                assert accepts(replace(sdr, cuts=cuts, model=None, scale=None), dc) == valid
-                seen.add(valid)
-
                 atoms = [(m, c * v) for m, v in sdr.model.beta.entries()]
                 atoms = list(zip([m for m, _ in atoms], perturbed(v for _, v in atoms)))
                 if min(v for _, v in atoms) < 0:
                     continue  # not a model
-                scale = c * sdr.scale
+                first = sum((v for m, v in atoms if m & 1), rat(0))
                 valid = sums_hold(
-                    atoms, covers, [(i, i) for i in range(p)], lambda i, j: scale
+                    atoms, covers, [(i, i) for i in range(p)], lambda i, j: first
                 ) and sums_hold(atoms, separates, sdr_pairs, lambda i, j: dc.d[i][j])
                 model = TmModel.from_entries(p, dict(atoms))
-                outcome = replace(sdr, cuts=replace(sdr.cuts, cuts=tuple(
-                    (m, c * w) for m, w in sdr.cuts.cuts)), model=model, scale=scale)
-                assert accepts(outcome, dc) == valid
+                assert accepts(replace(sdr, model=model), dc) == valid
                 seen.add(valid)
         assert seen == {True, False}
 
@@ -498,24 +480,6 @@ class TestCertificates:
                 assert accepted == valid
                 seen.add(valid)
         assert seen == {True, False}
-
-    @pytest.mark.parametrize(
-        "extra",
-        [((0, rat(5)),), ((7, rat(5)),), ((8, rat(5)),), ((32, rat(5)),), ((-1, rat(5)),),
-         ((3, rat(0)),)],
-        ids=["empty", "full", "past-p", "far-past-p", "negative", "repeat"],
-    )
-    def test_cut_masks_must_be_distinct_proper_cuts(self, line_metric, extra):
-        # at p = 3 none of these masks separates a pair, and a second entry
-        # for cut {1, 2} adds 0, so the weights still reconstruct d; a cut
-        # must be a mask in 1..2**p - 2, listed once
-        from dataclasses import replace
-
-        out = decide_sdr(line_metric)
-        assert out.cuts.cuts == ((1, rat(1)), (3, rat(2)))
-        cuts = replace(out.cuts, cuts=out.cuts.cuts + extra)
-        with pytest.raises(CertificateRejected, match="^cut masks are not distinct proper cuts$"):
-            verify_certificate(replace(out, cuts=cuts), line_metric)
 
     def test_mismatched_instance_rejected(self, line_metric):
         out = decide_sdr(line_metric)

@@ -61,7 +61,10 @@ def test_lambda_and_theta_of_equal_fraction_support_sums(model):
     # the integer sums over beta's denominator against plain Fraction sums
     # of the weights on the atoms containing (lambda) or meeting (theta) K
     weights = [(m, Fraction(v)) for m, v in model.beta.entries() if v]
-    for K in range(1 << model.p):
+    for query in (model.lambda_of, model.theta_of):  # K = 0 is no subset
+        with pytest.raises(DomainError, match=f"^subset mask 0 out of range for p={model.p}$"):
+            query(0)
+    for K in range(1, 1 << model.p):
         lam = model.lambda_of(K)
         theta = model.theta_of(K)
         assert lam == sum((v for m, v in weights if m & K == K), Fraction(0))
@@ -217,10 +220,21 @@ class TestExactJointExceedance:
         with pytest.raises(DomainError):
             exact_joint_exceedance(line_model, 1, 0.0)
 
-    @pytest.mark.parametrize("law", [exact_joint_exceedance, exact_union_exceedance])
-    @pytest.mark.parametrize("subset", [-1, -3, 1 << 3])
+    @pytest.mark.parametrize("law", [
+        exact_joint_exceedance,
+        exact_union_exceedance,
+        pytest.param(lambda model, m, u: model.lambda_of(m), id="lambda_of"),
+        pytest.param(lambda model, m, u: model.theta_of(m), id="theta_of"),
+        pytest.param(lambda model, m, u: exceedance_set_dist(model).probability(m),
+                     id="probability"),
+        pytest.param(lambda model, m, u: exceedance_set_dist(model).hitting(m), id="hitting"),
+        pytest.param(lambda model, m, u: exceedance_set_dist(model).inclusion(m),
+                     id="inclusion"),
+    ])
+    @pytest.mark.parametrize("subset", [-1, -3, 1 << 3, 0])
     def test_masks_out_of_range(self, line_model, law, subset):
-        with pytest.raises(DomainError, match=f"subset mask {subset} out of range"):
+        # a mask outside 1..2**p - 1 is no subset: refused, never summed
+        with pytest.raises(DomainError, match=f"^subset mask {subset} out of range for p=3$"):
             law(line_model, subset, 100.0)
 
     def test_large_threshold_keeps_the_line_pair(self, line_model):
