@@ -16,7 +16,8 @@ sorted 1-based index arrays for subsets):
   models               {"p": int, "beta": [{"set": ..., "value": ...}]}
   matrices             CSV (one row per line, rational or decimal cells)
                        or JSON {"p": int, "lam"/"d": [[...]]}
-  cut decompositions   {"p": int, "cuts": [...], "slack_full": "1/2"}
+  cut decompositions   {"p": int, "cuts": [...], "slack_full": "1/2"},
+                       written by `spectral cuts` and `realize sdr`, never read
   simulation reports   JSON with decimal floats (--precision digits)
   sample streams       16-byte header (magic TDSIM1, uint16 p, uint64 n),
                        then row-major little-endian float64

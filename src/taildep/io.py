@@ -2,9 +2,10 @@
 
 Exact rationals serialize as "num/den" strings, never JSON numbers, so a
 write-read round trip is the identity.  Subsets serialize as sorted
-1-based index arrays, never bitmasks.  Matrices also read and write as
-CSV with rational or decimal entries (decimals are parsed exactly in
-base 10).  Simulation reports are the one place floats appear.
+1-based index arrays, never bitmasks.  A matrix file is JSON or CSV with
+rational or decimal entries (decimals are parsed exactly in base 10);
+``_load_rows`` is its one reader and ``save_matrix`` its one writer.
+Simulation reports are the one place floats appear.
 """
 
 from __future__ import annotations
@@ -116,37 +117,9 @@ def cuts_to_json(cuts: CutDecomposition) -> dict:
     }
 
 
-def cuts_from_json(data: Mapping[str, Any]) -> CutDecomposition:
-    p = _get(data, "p", "integer")
-    entries = _entries_from_json(_get(data, "cuts", "array", []), p)
-    return CutDecomposition(
-        p, tuple(sorted(entries.items())), rat(str(data.get("slack_full", "0/1")))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Matrices: JSON ({"p": ..., "lam"/"d": [[...]]}) or CSV (one row per line).
 # ---------------------------------------------------------------------------
-
-
-def _matrix_rows_from_json(raw: Sequence[Sequence[Any]]) -> list[list[Rat]]:
-    return [[rat(str(v)) for v in _shaped(row, "array", "matrix row")] for row in raw]
-
-
-def td_matrix_to_json(L: TdMatrix) -> dict:
-    return {"p": L.p, "lam": [[rat_str(v) for v in row] for row in L.lam]}
-
-
-def td_matrix_from_json(data: Mapping[str, Any]) -> TdMatrix:
-    return TdMatrix.from_rows(_matrix_rows_from_json(_get(data, "lam", "array")))
-
-
-def semimetric_to_json(d: SemiMetric) -> dict:
-    return {"p": d.p, "d": [[rat_str(v) for v in row] for row in d.d]}
-
-
-def semimetric_from_json(data: Mapping[str, Any]) -> SemiMetric:
-    return SemiMetric.from_rows(_matrix_rows_from_json(_get(data, "d", "array")))
 
 
 def matrix_rows_to_csv(rows: Sequence[Sequence[Rat]]) -> str:
@@ -165,18 +138,24 @@ def matrix_rows_from_csv(text: str) -> list[list[Rat]]:
     return rows
 
 
-def load_td_matrix(path: str | Path) -> TdMatrix:
+def _load_rows(path: str | Path, key: str) -> list[list[Rat]]:
+    """A matrix file's rows: CSV, or JSON under ``key`` with "p" (if given) its row count."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        return td_matrix_from_json(json.loads(path.read_text()))
-    return TdMatrix.from_rows(matrix_rows_from_csv(path.read_text()))
+    if path.suffix.lower() != ".json":
+        return matrix_rows_from_csv(path.read_text())
+    data = json.loads(path.read_text())
+    raw = _get(data, key, "array")
+    if _get(data, "p", "integer", len(raw)) != len(raw):
+        raise MalformedInput(f'"p" is {data["p"]} but the matrix has {len(raw)} rows')
+    return [[rat(str(v)) for v in _shaped(row, "array", "matrix row")] for row in raw]
+
+
+def load_td_matrix(path: str | Path) -> TdMatrix:
+    return TdMatrix.from_rows(_load_rows(path, "lam"))
 
 
 def load_semimetric(path: str | Path) -> SemiMetric:
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        return semimetric_from_json(json.loads(path.read_text()))
-    return SemiMetric.from_rows(matrix_rows_from_csv(path.read_text()))
+    return SemiMetric.from_rows(_load_rows(path, "d"))
 
 
 def save_matrix(path: str | Path, rows: Sequence[Sequence[Rat]], json_key: str) -> None:
@@ -217,12 +196,13 @@ def read_samples_binary(path: str | Path) -> np.ndarray:
         magic, p, n = _SAMPLES_HEADER.unpack(header)
         if magic != SAMPLES_MAGIC:
             raise MalformedInput(f"bad magic {magic!r} in sample stream")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * p:
+        payload = fh.read()
+    if len(payload) != 8 * n * p:  # also a payload that ends inside a float
         raise MalformedInput(
-            f"sample stream truncated: expected {n * p} values, got {data.size}"
+            f"sample stream truncated: expected {n * p} values "
+            f"({8 * n * p} bytes), got {len(payload)} bytes"
         )
-    return data.reshape(n, p)
+    return np.frombuffer(payload, dtype="<f8").reshape(n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .tm import (
     exact_joint_exceedance,
     exact_union_exceedance,
     ExceedanceSetDist,
+    _check_mask,
 )
 
 DEFAULT_BLOCK_SIZE = 1 << 16
@@ -206,13 +207,14 @@ def estimation_report(
     if hist.p != model.p:
         raise DomainError(f"histogram has p={hist.p} but the model has p={model.p}")
     u, n = hist.u, hist.n_total
+    if n == 0:  # every estimate and its standard error divide by n
+        raise DomainError("cannot estimate from 0 samples")
     table = np.array(hist.counts, dtype=np.int64).reshape(-1, 2)
     masks, counts = table[:, 0], table[:, 1]
     rows = []
     for kind, subsets in (("lambda", lambda_subsets), ("theta", theta_subsets)):
         for subset in subsets:
-            if not 0 < subset < 1 << model.p:
-                raise DomainError(f"subset mask {subset} out of range for p={model.p}")
+            _check_mask(subset, model.p)
             common = masks & subset
             if kind == "lambda":
                 hits = counts[common == subset].sum()
@@ -386,9 +388,13 @@ def max_stability_check(
 
 def marginal_ks_statistic(model: TmModel, samples: np.ndarray, component: int) -> float:
     """Kolmogorov-Smirnov distance of one marginal to its exact Frechet law."""
+    n = samples.shape[0]
+    if n == 0:
+        raise DomainError("cannot test a marginal on 0 samples")
+    if not 0 <= component < model.p:
+        raise DomainError(f"component {component} out of range for p={model.p}")
     scale = float(model.marginal_scales()[component])
     x = np.sort(samples[:, component])
-    n = x.size
     if scale == 0:
         return float((x > 0).mean())
     cdf_vals = np.exp(-scale / np.maximum(x, 1e-300))

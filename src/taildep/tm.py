@@ -336,7 +336,7 @@ class BernoulliTensor:
 
 
 def tensor_from_model(model: TmModel, order: int, scale: RatLike) -> BernoulliTensor:
-    """Moment tensor of the model at a given scale; scale >= theta_total required."""
+    """Moment tensor of the model at a given scale; scale >= theta_total and > 0 required."""
     if order < 1:
         raise DomainError(f"tensor order must be >= 1, got {order}")
     c = rat(scale)
@@ -345,6 +345,8 @@ def tensor_from_model(model: TmModel, order: int, scale: RatLike) -> BernoulliTe
         raise ScaleTooSmall(
             f"scale {c} is below theta_total = {total}; the bound is sharp"
         )
+    if c <= 0:  # a degenerate model's bound is 0, and every entry divides by c
+        raise ScaleTooSmall(f"scale must be positive, got {c}")
     return BernoulliTensor(model.p, order, c, model.lambdas(), total)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from taildep.coeffs import TdMatrix
 from taildep.errors import MalformedInput
 from taildep.instances import line_fixture_model, random_beta
 from taildep.rationals import rat
-from taildep.spectral import SemiMetric, cut_decomposition
+from taildep.spectral import SemiMetric
 from taildep.subsets import mask_of
 from taildep.tm import TmModel
 
@@ -31,18 +32,14 @@ class TestJsonRoundTrips:
         back = tio.tm_model_from_json(tio.tm_model_to_json(line_model))
         assert back.beta.values == line_model.beta.values
 
-    def test_matrices_exact(self, line_metric):
+    def test_matrices_exact(self, tmp_path, line_metric):
+        # save_matrix writes both formats and the loaders read them back exactly
         td = TdMatrix.from_rows([[1, rat(1, 3)], [rat(1, 3), 1]])
-        assert tio.td_matrix_from_json(tio.td_matrix_to_json(td)).lam == td.lam
-        assert (
-            tio.semimetric_from_json(tio.semimetric_to_json(line_metric)).d
-            == line_metric.d
-        )
-
-    def test_cuts_exact(self, line_model):
-        cuts = cut_decomposition(line_model)
-        back = tio.cuts_from_json(tio.cuts_to_json(cuts))
-        assert back.cuts == cuts.cuts and back.slack_full == cuts.slack_full
+        for suffix in (".json", ".csv"):
+            tio.save_matrix(tmp_path / f"l{suffix}", td.lam, "lam")
+            tio.save_matrix(tmp_path / f"d{suffix}", line_metric.d, "d")
+            assert tio.load_td_matrix(tmp_path / f"l{suffix}").lam == td.lam
+            assert tio.load_semimetric(tmp_path / f"d{suffix}").d == line_metric.d
 
     def test_rational_strings_never_floats(self, line_model):
         payload = json.dumps(tio.tm_model_to_json(line_model))
@@ -95,6 +92,13 @@ class TestBinaryStream:
         tio.write_samples_binary(path, xs)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(MalformedInput):
+            tio.read_samples_binary(path)
+
+    def test_partial_float_rejected(self, tmp_path):
+        # a (p = 2, n = 1) header with 17 payload bytes: two floats and one byte
+        path = tmp_path / "partial.bin"
+        path.write_bytes(struct.pack("<6sHQ", b"TDSIM1", 2, 1) + bytes(17))
+        with pytest.raises(MalformedInput, match="sample stream truncated"):
             tio.read_samples_binary(path)
 
 
@@ -268,10 +272,13 @@ class TestCliExitCodes:
             (["report", "--model"], "m.json",
              '{"p":3,"beta":[{"set":[1],"value":"1/0"}]}'),
             (["realize", "td", "--in"], "l.json", '{"p":2,"lam":5}'),
+            (["realize", "td", "--in"], "l.json", '{"p":5,"lam":[["1"]]}'),
+            (["realize", "sdr", "--in"], "d.json", '{"p":"x","d":[["0"]]}'),
             (["realize", "sdr", "--scale", "1/0", "--in"], "d.csv", "0,1\n1,0\n"),
         ],
         ids=["string-label", "beta-not-array", "top-level-array",
-             "zero-denominator", "lam-not-array", "zero-denominator-scale"],
+             "zero-denominator", "lam-not-array", "p-not-row-count", "p-not-integer",
+             "zero-denominator-scale"],
     )
     def test_malformed_shape_exit_2(self, tmp_path, capsys, argv, name, text):
         path = tmp_path / name

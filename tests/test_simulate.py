@@ -74,6 +74,14 @@ class TestSampling:
         for i in range(3):
             assert marginal_ks_statistic(line_model, xs, i) < crit
 
+    def test_marginal_ks_refuses_empty_samples_and_bad_components(self, line_model):
+        with pytest.raises(DomainError):
+            marginal_ks_statistic(line_model, np.empty((0, 3)), 0)
+        xs = sample(line_model, 100, seed=0)
+        for component in (3, -1):
+            with pytest.raises(DomainError):
+                marginal_ks_statistic(line_model, xs, component)
+
     def test_zero_block_size_rejected_at_once(self, line_model):
         with pytest.raises(ValueError):
             sample(line_model, 10, seed=0, block_size=0)
@@ -231,6 +239,11 @@ class TestEstimators:
         hist = ExceedanceHistogram(p=3, u=u, n_total=100, n_nonempty=0, counts=())
         with pytest.raises(DomainError):
             estimation_report(line_model, hist, [1])
+
+    def test_no_samples_rejected(self, line_model):
+        # with n = 0 every estimate and its standard error would be nan
+        with pytest.raises(DomainError, match="0 samples"):
+            estimate_lambda(line_model, np.empty((0, 3)), 1, 10.0)
 
     def test_report_rejects_other_p_and_subsets_outside_p(self, line_model):
         hist = exceedance_set_histogram(sample(line_model, 100, seed=0), 1.0)

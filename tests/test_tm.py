@@ -414,6 +414,11 @@ class TestBernoulliTensor:
         with pytest.raises(ScaleTooSmall):
             tensor_from_model(line_model, 2, rat(7, 2) - rat(1, 1000))
 
+    def test_zero_scale_rejected(self):
+        # a degenerate model's bound theta_total is 0, but every entry divides by the scale
+        with pytest.raises(ScaleTooSmall):
+            tensor_from_model(TmModel.from_entries(2, {}), 2, 0)
+
     def test_success_probability(self, line_model):
         tensor = tensor_from_model(line_model, 2, 7)
         assert tensor.bernoulli_success_prob() == rat(1, 2)
