@@ -312,17 +312,29 @@ def _butterfly(
     Each level is one ufunc call on two disjoint views of runs of 2**i
     adjacent entries.  numpy's inner loop follows the runs (order "C")
     from 2**i = 16 up, but runs of at most 8, one int64 cache line, are
-    walked along the blocks (order "F"), so each inner loop is long: at
-    p = 16 (2-CPU Xeon, numpy 2.4, BENCH_14.json) levels 1 and 3 took 511
-    and 146 us along the runs against 43 and 86 us along the blocks, and
-    level 4 97 us against 184 us.
+    walked along the blocks (order "F"), so each inner loop is long.
+    Past numpy's default ufunc buffer of 8192 entries (p >= 14), numpy
+    stages runs of 32 to 4096 through that buffer unless it is one run
+    long, so levels 5..12 set it to 2**i (a 16-entry one slowed level 4).
+    Level 13 on, and the caller after a return or a raise, see the
+    caller's size again (numpy keeps it per thread; from numpy 2 in a
+    context variable).  At p = 16 (2-CPU Xeon, numpy 2.4, BENCH_25.json)
+    levels 6..11 took 18..6 us against 32..22 us, a butterfly 300 us
+    against 392 us.
     """
-    for i in range(p):
-        block = arr.reshape(-1, 2, 1 << i)
-        lo, hi = block[:, 0], block[:, 1]
-        w, o = (lo, hi) if superset else (hi, lo)
-        args = (o, w) if swap else (w, o)
-        op(*args, out=w, order="F" if i < 4 else "C")
+    caller = np.getbufsize() if len(arr) > 8192 else None
+    try:
+        for i in range(p):
+            if caller and 5 <= i <= 13:
+                np.setbufsize(1 << i if i < 13 else caller)
+            block = arr.reshape(-1, 2, 1 << i)
+            lo, hi = block[:, 0], block[:, 1]
+            w, o = (lo, hi) if superset else (hi, lo)
+            args = (o, w) if swap else (w, o)
+            op(*args, out=w, order="F" if i < 4 else "C")
+    finally:
+        if caller:
+            np.setbufsize(caller)
     return arr
 
 

@@ -388,6 +388,8 @@ def max_stability_check(
 
 def marginal_ks_statistic(model: TmModel, samples: np.ndarray, component: int) -> float:
     """Kolmogorov-Smirnov distance of one marginal to its exact Frechet law."""
+    if samples.ndim != 2 or samples.shape[1] != model.p:
+        raise DomainError(f"samples must have shape (n, {model.p}), got {samples.shape}")
     n = samples.shape[0]
     if n == 0:
         raise DomainError("cannot test a marginal on 0 samples")

@@ -16,7 +16,10 @@ higher-order coefficients that the integer ones replaced, kept to pin that
 those return the same values of the same types; the instance references
 are the per-pair ``Fraction`` loops that ``random_cut_metric`` and
 ``pair_matrix_from_beta`` ran before they went through the shared
-incidence, kept to pin that every generated instance stays the same.
+incidence, kept to pin that every generated instance stays the same; the
+butterfly reference is the level loop the transforms ran before they sized
+numpy's ufunc buffer to each level's run, kept to pin that every transform
+returns the same numerators.
 """
 
 from __future__ import annotations
@@ -119,6 +122,20 @@ def brute_lambda_from_theta(theta: SubsetFn) -> SubsetFn:
                 acc += theta[K] if K.bit_count() % 2 == 1 else -theta[K]
         vals.append(acc)
     return SubsetFn(p, tuple(vals), Kind.LAMBDA)
+
+
+def reference_butterfly(
+    arr: np.ndarray, p: int, op: np.ufunc, *, superset: bool, swap: bool = False
+) -> np.ndarray:
+    """The in-place lattice butterfly of `coeffs._butterfly` under the
+    caller's ufunc buffer at every level."""
+    for i in range(p):
+        block = arr.reshape(-1, 2, 1 << i)
+        lo, hi = block[:, 0], block[:, 1]
+        w, o = (lo, hi) if superset else (hi, lo)
+        args = (o, w) if swap else (w, o)
+        op(*args, out=w, order="F" if i < 4 else "C")
+    return arr
 
 
 def brute_cut_reconstruction(weights: dict, p: int) -> list[list]:

@@ -1,9 +1,13 @@
 """Subset coefficient algebra: frozen examples, oracles, and properties."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from oracles import (
     brute_lambda_from_theta,
     brute_theta_from_beta,
     brute_theta_from_lambda,
+    reference_butterfly,
     reference_pair_matrix_from_beta,
 )
 
@@ -280,6 +285,107 @@ def test_transforms_exact_at_int64_limit(total):
     assert th.values == brute_theta_from_beta(beta).values
     assert lam[1] == th[3] == total
     assert beta_from_lambda(lam).values == beta_from_theta(th).values == beta.values
+
+
+def _dense_beta(p):
+    """A fixed dense integer system; from p = 14 on its butterflies run
+    levels 5 to 12 with numpy's ufunc buffer sized to each level's run."""
+    rng = random.Random(p)
+    return SubsetFn.from_values(p, [rng.randrange(0, 48) for _ in range((1 << p) - 1)], Kind.BETA)
+
+
+_P14 = _dense_beta(14)
+
+
+def _six_transforms(beta):
+    lam, th = lambda_from_beta(beta), theta_from_beta(beta)
+    return (lam, th, beta_from_lambda(lam), beta_from_theta(th),
+            theta_from_lambda(lam), lambda_from_theta(th))
+
+
+@pytest.mark.parametrize("p", [14, 16])
+@pytest.mark.parametrize("dtype, scale", [(np.int64, 1), (object, (1 << 70) + 1)])
+def test_tuned_butterfly_keeps_every_numerator(p, dtype, scale, monkeypatch):
+    beta = (_P14 if p == 14 else _dense_beta(p)).scaled(scale)
+    tuned = _six_transforms(beta)
+    monkeypatch.setattr(coeffs, "_butterfly", reference_butterfly)
+    for got, want in zip(tuned, _six_transforms(beta)):
+        (nums, den), (ref_nums, ref_den) = got._numerators(), want._numerators()
+        assert nums.dtype == ref_nums.dtype == dtype
+        assert np.array_equal(nums, ref_nums) and den == ref_den and got.kind is want.kind
+
+
+def _levels(p, *, fail_at=None):
+    """numpy's ufunc buffer size at each level of a p-level butterfly,
+    through a stand-in for np.add that raises at level ``fail_at``."""
+    sizes = []
+
+    def op(*args, out, order):
+        sizes.append(np.getbufsize())
+        if len(sizes) - 1 == fail_at:
+            raise RuntimeError(f"level {fail_at}")
+        np.add(*args, out=out, order=order)
+
+    coeffs._butterfly(np.zeros(1 << p, dtype=np.int64), p, op, superset=True)
+    return sizes
+
+
+def test_butterfly_sizes_the_buffer_to_the_middle_runs_from_p_14():
+    default = np.getbufsize()
+    assert _levels(13) == [default] * 13
+    assert _levels(15) == [default] * 5 + [1 << i for i in range(5, 13)] + [default] * 2
+    assert np.getbufsize() == default
+
+
+def test_small_butterflies_make_no_buffer_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a buffer call below p = 14")
+
+    monkeypatch.setattr(np, "getbufsize", refuse)
+    monkeypatch.setattr(np, "setbufsize", refuse)
+    beta = _dense_beta(13)
+    assert _six_transforms(beta)[2] == beta
+
+
+def test_p14_transform_restores_the_default_buffer():
+    default = np.getbufsize()
+    lam = lambda_from_beta(_P14)
+    assert np.getbufsize() == default == 8192
+    assert beta_from_lambda(lam) == _P14
+
+
+def test_p14_transform_restores_a_caller_set_buffer():
+    with np.errstate():
+        np.setbufsize(1 << 14)
+        lam = lambda_from_beta(_P14)
+        assert np.getbufsize() == 1 << 14
+        assert _levels(14) == [1 << 14] * 5 + [1 << i for i in range(5, 13)] + [1 << 14]
+        assert np.getbufsize() == 1 << 14
+    assert lam == lambda_from_beta(_P14)
+
+
+def test_butterfly_restores_the_buffer_when_a_tuned_level_raises():
+    default = np.getbufsize()
+    with pytest.raises(RuntimeError, match="level 7"):
+        _levels(14, fail_at=7)
+    assert np.getbufsize() == default
+
+
+def test_lattice_timings_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "lattice_timings.py"), "--p", "4", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "p=4 dtype=int64 repeats=2" in result.stdout
+    assert result.stdout.count("_from_") == 6 and "synthesize" in result.stdout
 
 
 def test_transform_results_behave_like_built_systems():

@@ -82,6 +82,12 @@ class TestSampling:
             with pytest.raises(DomainError):
                 marginal_ks_statistic(line_model, xs, component)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (5,), (5, 4)])
+    def test_marginal_ks_refuses_samples_not_p_columns_wide(self, line_model, shape):
+        # narrower and 1-D samples used to raise IndexError, wider ones passed
+        with pytest.raises(DomainError, match=r"shape \(n, 3\)"):
+            marginal_ks_statistic(line_model, np.ones(shape), 2)
+
     def test_zero_block_size_rejected_at_once(self, line_model):
         with pytest.raises(ValueError):
             sample(line_model, 10, seed=0, block_size=0)
