@@ -11,6 +11,12 @@ how well a stage runs on several cores):
   histogram        exceedance_set_histogram at --u
   report           estimation_report on that histogram
   exact_laws       the exact finite-u laws of the report's targets alone
+  cli              the whole `taildep simulate`, in process, with --out and
+                   --samples-out in the temp dir
+
+The CLI writes the sample file on a second thread while it builds the
+histogram and the report, so cli minus sample is that overlapped tail, to
+be read next to samples_write and histogram + report.
 
 The targets are the CLI's defaults: every subset as a lambda and a theta
 target at p <= 6, else the singletons and the full set as lambda targets
@@ -30,6 +36,7 @@ import time
 from pathlib import Path
 
 from taildep import io as tio
+from taildep.cli import main as cli_main
 from taildep.rationals import rat
 from taildep.simulate import estimation_report, exceedance_set_histogram, sample
 from taildep.tm import TmModel, exact_joint_exceedance, exact_union_exceedance
@@ -77,17 +84,24 @@ def main() -> None:
     medians = {}
     medians["sample"], xs = median_seconds(lambda: sample(model, args.n, args.seed), args.repeats)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "samples.bin"
+        tmp = Path(tmp)
         medians["samples_write"], _ = median_seconds(
-            lambda: tio.write_samples_binary(path, xs), args.repeats)
-    medians["histogram"], hist = median_seconds(
-        lambda: exceedance_set_histogram(xs, args.u), args.repeats)
-    medians["report"], _ = median_seconds(
-        lambda: estimation_report(model, hist, lam_t, th_t), args.repeats)
-    medians["exact_laws"], _ = median_seconds(
-        lambda: ([exact_joint_exceedance(model, s, args.u) for s in lam_t],
-                 [exact_union_exceedance(model, s, args.u) for s in th_t]),
-        args.repeats)
+            lambda: tio.write_samples_binary(tmp / "samples.bin", xs), args.repeats)
+        medians["histogram"], hist = median_seconds(
+            lambda: exceedance_set_histogram(xs, args.u), args.repeats)
+        medians["report"], _ = median_seconds(
+            lambda: estimation_report(model, hist, lam_t, th_t), args.repeats)
+        medians["exact_laws"], _ = median_seconds(
+            lambda: ([exact_joint_exceedance(model, s, args.u) for s in lam_t],
+                     [exact_union_exceedance(model, s, args.u) for s in th_t]),
+            args.repeats)
+        (tmp / "model.json").write_text(json.dumps(tio.tm_model_to_json(model)))
+        argv = ["simulate", "--model", str(tmp / "model.json"), "--n", str(args.n),
+                "--u", repr(args.u), "--seed", str(args.seed),
+                "--out", str(tmp / "report.json"), "--samples-out", str(tmp / "samples.bin")]
+        medians["cli"], code = median_seconds(lambda: cli_main(argv), args.repeats)
+        if code != 0:
+            raise SystemExit(f"taildep simulate exited with {code}")
     rows_per_s = args.n / medians["sample"][0]
     if args.json:
         print(json.dumps({"p": args.p, "n": args.n, "u": args.u, "atoms": len(model.support()),

@@ -232,10 +232,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"warning: --block-size {args.block_size} is below {_CHUNK_ROWS}; "
               "per-block set-up will dominate the run time", file=sys.stderr)
     xs = sample(model, args.n, args.seed, args.block_size)
-    if args.samples_out:
-        tio.write_samples_binary(args.samples_out, xs)
-    hist = exceedance_set_histogram(xs, args.u)
-    rep = estimation_report(model, hist, lam_t, th_t)
+    # The sample file is written on a second thread (tofile releases the
+    # GIL) while this one builds the histogram and the report; the writer is
+    # joined before anything is emitted, and its error wins over theirs, so
+    # the files, stdout, stderr and exit code are those of writing first.
+    # Imported here, as in sample(): concurrent.futures loads logging.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        written = (pool.submit(tio.write_samples_binary, args.samples_out, xs)
+                   if args.samples_out else None)
+        try:
+            hist = exceedance_set_histogram(xs, args.u)
+            rep = estimation_report(model, hist, lam_t, th_t)
+            # sample() has refused a degenerate model, so the limit exists
+            tv = tv_distance(hist, exceedance_set_dist(model))
+        finally:
+            if written is not None:
+                written.result()
     digits = args.precision
     payload = {
         "n": args.n,
@@ -262,10 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 }
                 for m, c in hist.counts
             ],
-            # sample() has refused a degenerate model, so the limit exists
-            "tv_distance_to_limit": _round_sig(
-                tv_distance(hist, exceedance_set_dist(model)), digits
-            ),
+            "tv_distance_to_limit": _round_sig(tv, digits),
         },
     }
     _emit(payload, args.out)

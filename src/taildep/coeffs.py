@@ -435,21 +435,31 @@ def lambda_from_theta(theta: SubsetFn) -> SubsetFn:
 
 # ---------------------------------------------------------------------------
 # Validation checks (invariants of systems that derive from beta >= 0; these
-# are diagnostics, not constructor constraints).
+# are diagnostics, not constructor constraints).  A system has one
+# denominator > 0 for all its values, so the checks compare numerators and
+# build no rational.
 # ---------------------------------------------------------------------------
+
+
+def _violation_pairs(table: np.ndarray, p: int) -> list[tuple[int, int]]:
+    """(mask, mask | 1 << i) for each true cell (mask - 1, i) of ``table``,
+    and (mask, 0) for a true cell in its column p, if it has one; mask by
+    mask, and column by column within a mask."""
+    rows, cols = np.nonzero(table)
+    masks = rows + 1
+    partners = np.where(cols < p, masks | np.left_shift(1, cols), 0)
+    return list(zip(masks.tolist(), partners.tolist()))
 
 
 def lambda_violations(lam: SubsetFn) -> list[tuple[int, int]]:
     """Pairs (L, L + one element) where lambda increases under the superset."""
-    out = []
-    for mask in range(1, 1 << lam.p):
-        v = lam.values[mask - 1]
-        for i in range(lam.p):
-            bit = 1 << i
-            if not mask & bit:
-                if v < lam.values[(mask | bit) - 1]:
-                    out.append((mask, mask | bit))
-    return out
+    nums, _ = lam._numerators()
+    masks = np.arange(1, 1 << lam.p)
+    grows = np.empty((masks.size, lam.p), dtype=bool)
+    for i in range(lam.p):
+        # a bit already in L gives L | bit = L, which never increases
+        np.less(nums, nums[(masks | 1 << i) - 1], out=grows[:, i])
+    return _violation_pairs(grows, lam.p)
 
 
 def theta_violations(theta: SubsetFn) -> list[tuple[int, int]]:
@@ -458,19 +468,19 @@ def theta_violations(theta: SubsetFn) -> list[tuple[int, int]]:
     Returns (K, K') pairs with theta(K) > theta(K') for K inside K', plus
     (K, 0) markers when theta(K) exceeds the sum of its singleton values.
     """
-    out = []
-    for mask in range(1, 1 << theta.p):
-        v = theta.values[mask - 1]
-        singleton_sum = ZERO
-        for i in range(theta.p):
-            bit = 1 << i
-            if mask & bit:
-                singleton_sum += theta.values[bit - 1]
-            elif v > theta.values[(mask | bit) - 1]:
-                out.append((mask, mask | bit))
-        if v > singleton_sum:
-            out.append((mask, 0))
-    return out
+    nums, _ = theta._numerators()
+    p = theta.p
+    masks = np.arange(1, 1 << p)
+    table = np.empty((masks.size, p + 1), dtype=bool)
+    # int64 numerators have an int64 sum of absolute values, so no
+    # singleton sum overflows; object ones are Python ints
+    singleton_sum = np.zeros(masks.size, dtype=nums.dtype)
+    for i in range(p):
+        bit = 1 << i
+        np.greater(nums, nums[(masks | bit) - 1], out=table[:, i])
+        singleton_sum[(masks & bit) != 0] += nums[bit - 1]
+    np.greater(nums, singleton_sum, out=table[:, p])
+    return _violation_pairs(table, p)
 
 
 # ---------------------------------------------------------------------------

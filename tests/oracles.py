@@ -19,7 +19,9 @@ are the per-pair ``Fraction`` loops that ``random_cut_metric`` and
 incidence, kept to pin that every generated instance stays the same; the
 butterfly reference is the level loop the transforms ran before they sized
 numpy's ufunc buffer to each level's run, kept to pin that every transform
-returns the same numerators.
+returns the same numerators; the violation references are the per-subset
+``Fraction`` loops over ``values`` that the numerator checks replaced, kept
+to pin that those return the same pairs in the same order.
 """
 
 from __future__ import annotations
@@ -136,6 +138,34 @@ def reference_butterfly(
         args = (o, w) if swap else (w, o)
         op(*args, out=w, order="F" if i < 4 else "C")
     return arr
+
+
+def reference_lambda_violations(lam: SubsetFn) -> list[tuple[int, int]]:
+    out = []
+    for mask in range(1, 1 << lam.p):
+        v = lam.values[mask - 1]
+        for i in range(lam.p):
+            bit = 1 << i
+            if not mask & bit:
+                if v < lam.values[(mask | bit) - 1]:
+                    out.append((mask, mask | bit))
+    return out
+
+
+def reference_theta_violations(theta: SubsetFn) -> list[tuple[int, int]]:
+    out = []
+    for mask in range(1, 1 << theta.p):
+        v = theta.values[mask - 1]
+        singleton_sum = ZERO
+        for i in range(theta.p):
+            bit = 1 << i
+            if mask & bit:
+                singleton_sum += theta.values[bit - 1]
+            elif v > theta.values[(mask | bit) - 1]:
+                out.append((mask, mask | bit))
+        if v > singleton_sum:
+            out.append((mask, 0))
+    return out
 
 
 def brute_cut_reconstruction(weights: dict, p: int) -> list[list]:

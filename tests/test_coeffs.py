@@ -48,7 +48,9 @@ from oracles import (
     brute_theta_from_beta,
     brute_theta_from_lambda,
     reference_butterfly,
+    reference_lambda_violations,
     reference_pair_matrix_from_beta,
+    reference_theta_violations,
 )
 
 
@@ -460,6 +462,40 @@ def _same(fn, built):
     assert fn == built and built == fn
     assert fn.kind is built.kind
     assert hash(fn) == hash(built) and repr(fn) == repr(built)
+
+
+@pytest.mark.parametrize("scale", [1, (1 << 70) + 1], ids=["int64", "object"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_violations_match_fraction_loops_on_raw_systems(p, scale):
+    # signed values over mixed denominators break both invariants often
+    rng = random.Random(p)
+    found = set()
+    for _ in range(20):
+        dens = [1, 2, 3, 4, 6]
+        values = [Fraction(rng.randint(-6, 6), rng.choice(dens)) for _ in range(1, 1 << p)]
+        fn = SubsetFn.from_values(p, values, Kind.RAW).scaled(scale)
+        assert fn._values is None
+        lam, th = lambda_violations(fn), theta_violations(fn)
+        assert lam == reference_lambda_violations(fn)
+        assert th == reference_theta_violations(fn)
+        found |= {"lambda"} if lam else set()
+        found |= {"theta"} if th else set()
+    assert found == ({"lambda", "theta"} if p > 1 else set())  # p = 1 has no pair
+
+
+def test_violations_build_no_rationals(monkeypatch):
+    fn = SubsetFn.from_values(3, [3, -1, 2, 5, 0, 1, 4], Kind.RAW).scaled(1)
+    seen = []
+    real = coeffs.from_common_numerators
+
+    def spy(nums, den):
+        seen.append(len(nums))
+        return real(nums, den)
+
+    monkeypatch.setattr(coeffs, "from_common_numerators", spy)
+    lambda_violations(fn)
+    theta_violations(fn)
+    assert seen == [] and fn._values is None
 
 
 @given(

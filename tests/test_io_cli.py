@@ -248,6 +248,39 @@ class TestCliExitCodes:
         assert xs.shape == (20000, 3)
         assert capsys.readouterr().err == ""
 
+    def test_simulate_sample_file_is_header_and_sample_bytes(self, workdir, capsys):
+        from taildep.simulate import sample
+
+        bin_out = workdir / "samples.bin"
+        n = 70_001  # two blocks
+        assert main(["simulate", "--model", str(workdir / "model.json"), "--n", str(n),
+                     "--u", "50", "--seed", "7", "--out", str(workdir / "r.json"),
+                     "--samples-out", str(bin_out)]) == 0
+        header = struct.pack("<6sHQ", b"TDSIM1", 3, n)
+        assert bin_out.read_bytes() == header + sample(line_fixture_model(), n, 7).tobytes()
+
+    def test_simulate_report_is_the_same_with_and_without_a_sample_file(
+        self, workdir, capsys
+    ):
+        argv = ["simulate", "--model", str(workdir / "model.json"), "--n", "20000",
+                "--u", "50", "--seed", "7"]
+        runs = []
+        for extra in ([], ["--samples-out", str(workdir / "s.bin")]):
+            assert main(argv + extra) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] and runs[0].err == ""
+        assert (workdir / "s.bin").exists()
+
+    def test_simulate_sample_file_in_a_missing_directory_exit_2(self, workdir, capsys):
+        report = workdir / "r.json"
+        code = main(["simulate", "--model", str(workdir / "model.json"), "--n", "20000",
+                     "--u", "50", "--out", str(report),
+                     "--samples-out", str(workdir / "missing" / "s.bin")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert not report.exists()
+
     def test_report_table(self, workdir, capsys):
         code = main(["report", "--model", str(workdir / "model.json")])
         assert code == 0

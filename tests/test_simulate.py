@@ -314,13 +314,28 @@ class TestExceedanceHistogram:
         tv = tv_distance(hist, exceedance_set_dist(line_model))
         assert tv < 0.01
 
-    @pytest.mark.parametrize("p", [7, 8])  # rows padded to a byte, or not
+    # p <= 4 compares column by column; rows are padded to one or two bytes,
+    # or not
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 9, 16])
     def test_masks_match_bitwise_sum(self, p):
-        xs = sample(_p8_model(), 50_000, seed=12)[:, :p]
-        hist = exceedance_set_histogram(xs, 2.0)
-        masks = (xs > 2.0).astype(np.int64) @ (1 << np.arange(p))
-        values, counts = np.unique(masks[masks > 0], return_counts=True)
-        assert hist.counts == tuple(zip(values.tolist(), counts.tolist()))
+        xs = np.hstack([sample(_p8_model(), 50_000, seed=12),
+                        sample(_p8_model(seed=9), 50_000, seed=13)])[:, :p]
+        # at u = 2 most rows are nonempty, at u = 1e4 few are, which takes
+        # the other compaction
+        for u in (2.0, 1e4):
+            hist = exceedance_set_histogram(xs, u)
+            masks = (xs > u).astype(np.int64) @ (1 << np.arange(p))
+            values, counts = np.unique(masks[masks > 0], return_counts=True)
+            assert hist.counts == tuple(zip(values.tolist(), counts.tolist()))
+            assert hist.n_nonempty == np.count_nonzero(masks)
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_no_empty_row_and_no_nonempty_row(self, p):
+        xs = sample(_p8_model(), 20_000, seed=5)[:, :p]
+        below = exceedance_set_histogram(xs, float(xs.min()) / 2)
+        assert below.counts == (((1 << p) - 1, 20_000),) and below.n_nonempty == 20_000
+        above = exceedance_set_histogram(xs, float(xs.max()))  # exceedance is strict
+        assert above.counts == () and above.n_nonempty == 0
 
     def test_more_components_than_masks_hold_rejected(self):
         with pytest.raises(DomainError):
