@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Median microseconds of the lattice transforms and of each butterfly level
-at one p.
+at one p, and of the two int64 transform paths at p = 2..10.
 
 Builds a dense random weight system on p components (70% of the subsets
 carry an integer weight in 1..47, the rest 0), then times, --repeats times
@@ -13,6 +13,10 @@ each:
   transforms  the six conversions between beta, lambda and theta, and
               `tm.synthesize` of the lambda system, each with the median
               number of minor page faults it takes (`resource.getrusage`)
+  crossover   one int64 superset sum at each p = 2..10 (its own random
+              system), run by the levels (`coeffs._levels`) and as one
+              product with the Kronecker-power matrix (`coeffs._kernel`);
+              `coeffs._KERNEL_P` is the largest p at which the product wins
 
 With --object the weights are scaled by 2**70 + 1, so every array is an
 object array of Python ints.
@@ -32,6 +36,8 @@ import numpy as np
 
 from taildep import coeffs, tm
 from taildep.coeffs import Kind, SubsetFn
+
+CROSSOVER_PS = range(2, 11)
 
 
 def random_beta(p: int, rng: random.Random) -> SubsetFn:
@@ -54,6 +60,26 @@ def level_medians(beta: SubsetFn, repeats: int) -> list[float]:
 
         coeffs._butterfly(coeffs._full(nums), beta.p, timed_add, superset=True)
     return [statistics.median(s) for s in seconds]
+
+
+def crossover_medians(repeats: int, rng: random.Random) -> list[tuple[int, float, float]]:
+    """[(p, median seconds of the levels, of the product)] of one int64
+    superset sum at each p in CROSSOVER_PS."""
+    rows = []
+    for p in CROSSOVER_PS:
+        full = coeffs._full(random_beta(p, rng)._numerators()[0])
+        kernel = coeffs._kernel(p, np.add, True, False)  # built before timing
+        levels, product = [], []
+        for _ in range(repeats):
+            arr = full.copy()
+            start = time.perf_counter()
+            coeffs._levels(arr, p, np.add, superset=True)
+            levels.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            kernel @ full
+            product.append(time.perf_counter() - start)
+        rows.append((p, statistics.median(levels), statistics.median(product)))
+    return rows
 
 
 def transform_medians(beta: SubsetFn, repeats: int) -> dict[str, tuple[float, float]]:
@@ -96,12 +122,16 @@ def main() -> None:
     dtype = str(beta._numerators()[0].dtype)
     levels = level_medians(beta, args.repeats)
     transforms = transform_medians(beta, args.repeats)
+    crossover = crossover_medians(args.repeats, random.Random(args.seed))
     if args.json:
         print(json.dumps({"p": args.p, "dtype": dtype, "repeats": args.repeats,
                           "level_us": [s * 1e6 for s in levels],
                           "butterfly_levels_us": sum(levels) * 1e6,
                           "transform_us": {k: s * 1e6 for k, (s, _) in transforms.items()},
-                          "transform_minflt": {k: f for k, (_, f) in transforms.items()}}))
+                          "transform_minflt": {k: f for k, (_, f) in transforms.items()},
+                          "kernel_p": coeffs._KERNEL_P,
+                          "crossover_us": {p: {"levels": lv * 1e6, "product": pr * 1e6}
+                                           for p, lv, pr in crossover}}))
         return
     print(f"p={args.p} dtype={dtype} repeats={args.repeats}")
     print(f"{'level':>5} {'run':>7} {'us':>9}")
@@ -111,6 +141,10 @@ def main() -> None:
     print(f"{'transform':>17} {'us':>10} {'minflt':>7}")
     for name, (s, faults) in transforms.items():
         print(f"{name:>17} {s * 1e6:10.1f} {faults:7.0f}")
+    print(f"int64 superset sum, levels against product (_KERNEL_P = {coeffs._KERNEL_P})")
+    print(f"{'p':>5} {'levels us':>10} {'product us':>11}")
+    for p, lv, pr in crossover:
+        print(f"{p:>5} {lv * 1e6:10.1f} {pr * 1e6:11.1f}")
 
 
 if __name__ == "__main__":

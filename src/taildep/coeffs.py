@@ -25,9 +25,10 @@ to realizability questions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -65,34 +66,41 @@ class Kind(Enum):
 _INT64_MAX = (1 << 63) - 1
 
 
-def _store(nums) -> np.ndarray:
-    """Integer numerators as a read-only array: int64 when sum(|nums|) fits
-    in int64, an object array of Python ints otherwise.
+def _store(nums) -> tuple[np.ndarray, int]:
+    """Integer numerators as a read-only array, and its least entry (0 when
+    empty): int64 when sum(|nums|) fits in int64, an object array of
+    Python ints otherwise.
 
-    Every entry at every level of a lattice butterfly, and every
-    ``total - x`` of `theta_from_beta`, is a signed sum of distinct inputs,
-    so no value exceeds sum(|nums|): an int64 array goes through any
-    transform with exact machine adds.  ``nums`` is a list or a
-    fresh array that nothing else writes.
+    Every entry at every level of a lattice butterfly, every partial sum of
+    its int64 product (`_butterfly`), and every ``total - x`` of
+    `theta_from_beta`, is a signed sum of distinct inputs, so no value
+    exceeds sum(|nums|): an int64 array goes through any transform with
+    exact machine adds.  ``nums`` is a list or a fresh array that nothing
+    else writes.
     """
     try:
         arr = np.asarray(nums, dtype=np.int64)
     except OverflowError:  # an entry beyond int64, so the sum is too
         arr = np.asarray(nums, dtype=object)
+        least = arr.min()
     else:
-        # n * max|x| bounds the sum at the cost of two reductions
-        if arr.size and max(int(arr.max()), -int(arr.min())) * len(arr) > _INT64_MAX:
+        least, most = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
+        # n * max|x| bounds the sum at the cost of those two reductions
+        if max(most, -least) * len(arr) > _INT64_MAX:
             if sum(map(abs, arr.tolist())) > _INT64_MAX:
                 arr = arr.astype(object)
     arr.flags.writeable = False
-    return arr
+    return arr, least
 
 
-def _init(fn: "SubsetFn", p: int, kind: Kind, nums: np.ndarray, den: int, values=None) -> None:
-    """Fill a SubsetFn's slots: numerators as `_store` keeps them, over
-    ``den`` > 0, and the rationals only when the caller passed them in; a
-    BETA system must have no negative numerator."""
-    if kind is Kind.BETA and nums.min() < 0:
+def _init(
+    fn: "SubsetFn", p: int, kind: Kind, nums: np.ndarray, least: int, den: int, values=None
+) -> None:
+    """Fill a SubsetFn's slots: numerators as `_store` keeps them, with
+    their least entry ``least``, over ``den`` > 0, and the rationals only
+    when the caller passed them in; a BETA system must have no negative
+    numerator."""
+    if kind is Kind.BETA and least < 0:
         bad = (np.flatnonzero(nums < 0)[:8] + 1).tolist()
         raise InvalidBeta(
             "negative beta entries at subsets " + ", ".join(set_str(m) for m in bad)
@@ -134,14 +142,14 @@ class SubsetFn:
         if len(values) != n:
             raise ValueError(f"expected {n} values for p={p}, got {len(values)}")
         nums, den = to_common_numerators(values)
-        _init(self, p, kind, _store(nums), den, values)
+        _init(self, p, kind, *_store(nums), den, values)
 
     @classmethod
     def _from_numerators(cls, p: int, nums, den: int, kind: Kind) -> "SubsetFn":
         """Wrap 2**p - 1 integer numerators over ``den`` > 0 (a list, or a
         fresh array that nothing else writes)."""
         fn = object.__new__(cls)
-        _init(fn, p, kind, _store(nums), den)
+        _init(fn, p, kind, *_store(nums), den)
         return fn
 
     @property
@@ -173,7 +181,13 @@ class SubsetFn:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.p, self.values, self.kind))
+        # equal systems agree once numerators and denominator are divided by
+        # their gcd g, whatever denominator each stores; no rational is built
+        nums, den = self._nums, self._den
+        g_nums = int(np.gcd.reduce(nums))
+        g = math.gcd(g_nums, den)
+        reduced = nums // g if g_nums else nums  # all zero: g = den may pass int64
+        return hash((self.p, self.kind, den // g, tuple(reduced.tolist())))
 
     def __repr__(self) -> str:
         return f"SubsetFn(p={self.p!r}, values={self.values!r}, kind={self.kind!r})"
@@ -233,7 +247,7 @@ class SubsetFn:
 
     def with_kind(self, kind: Kind) -> "SubsetFn":
         fn = object.__new__(SubsetFn)
-        _init(fn, self.p, kind, self._nums, self._den)
+        _init(fn, self.p, kind, self._nums, self._nums.min(), self._den)
         return fn
 
     def scaled(self, factor: RatLike) -> "SubsetFn":
@@ -274,13 +288,27 @@ def linear_combination(
 # form a SubsetFn stores, so a system stays in it from the first transform
 # to the answer, and no transform reads or builds a rational: each
 # transform copies its input's numerator array into a fresh full-lattice
-# array, runs the butterfly on it in place, and wraps the nonempty part as
-# the result, over the input's denominator (`SubsetFn._from_numerators`).
-# The array is int64 when the sum of the absolute numerators fits, which
-# bounds every intermediate sum, and object otherwise (see `_store`).  With
-# index = bitmask, the complement of mask m is fm - m, so reversing a
-# full-lattice array maps each subset's entry to its complement's.
+# array, runs the butterfly on it, and wraps the nonempty part of the
+# result as the new system, over the input's denominator
+# (`SubsetFn._from_numerators`).  The array is int64 when the sum of the
+# absolute numerators fits, which bounds every intermediate sum, and object
+# otherwise (see `_store`).  With index = bitmask, the complement of mask m
+# is fm - m, so reversing a full-lattice array maps each subset's entry to
+# its complement's.
+#
+# Each butterfly level applies one 2x2 matrix M1 to one bit of the index,
+# so a whole transform is the Kronecker power K = M1 (x) ... (x) M1 (p
+# factors), and the levels are its fast product (Yates 1937).  Up to
+# p = _KERNEL_P an int64 transform is one product K @ x instead: p ufunc
+# calls of about 2 us each cost more than one small product there.  K's
+# entries are 0 or +-1, so each partial sum of the product is a signed sum
+# of distinct inputs, and the int64 bound above keeps it exact.
 # ---------------------------------------------------------------------------
+
+# The largest p whose int64 transforms run as one product with the cached
+# K (`_butterfly`, `_kernel`): 7 is where the crossover table of
+# `scripts/lattice_timings.py` puts it on a 2-CPU Xeon (BENCH_28.json).
+_KERNEL_P = 7
 
 
 def _full(nums: np.ndarray, *, complement: bool = False) -> np.ndarray:
@@ -300,7 +328,9 @@ def _full(nums: np.ndarray, *, complement: bool = False) -> np.ndarray:
 def _butterfly(
     arr: np.ndarray, p: int, op: np.ufunc, *, superset: bool, swap: bool = False
 ) -> np.ndarray:
-    """Lattice transform of a full-lattice array, in place; returns it.
+    """Lattice transform of a full-lattice array; returns the result, which
+    is a new array on the product path and ``arr`` itself, transformed in
+    place, on the level path, so callers read the return value.
 
     Level i pairs each mask S without bit i (``lo``) with S + bit i
     (``hi``) and writes ``op(w, o)``, or ``op(o, w)`` with ``swap``, into
@@ -308,6 +338,39 @@ def _butterfly(
     the other half.  np.add gives the superset / subset sums, np.subtract
     their Moebius inverses, and np.subtract with swap (hi <- lo - hi)
     g(K) = sum_{L <= K} (-1)^{|L|} f(L).
+
+    Every level applies the same 2x2 matrix M1 to its bit, so the transform
+    is K @ arr with K = M1^{(x) p}, the Kronecker power (`_kernel`).  An
+    int64 array with p <= _KERNEL_P and op np.add or np.subtract takes that
+    one product: every entry of K is 0 or +-1 and each row adds distinct
+    inputs with signs, so every partial sum, in any order, is bounded by
+    sum(|arr|) <= 2**63 - 1 (`_store`), and the int64 product is exact.
+    It is faster up to p = 7 and slower from p = 8 (2-CPU Xeon, numpy 2.4:
+    9.1 against 16.2 us at p = 7, 34 against 19 us at p = 8).  Object
+    arrays, other ops and larger p run the levels (`_levels`).
+    """
+    if p <= _KERNEL_P and arr.dtype == np.int64 and (op is np.add or op is np.subtract):
+        return _kernel(p, op, superset, swap) @ arr
+    return _levels(arr, p, op, superset=superset, swap=swap)
+
+
+@lru_cache(maxsize=None)
+def _kernel(p: int, op: np.ufunc, superset: bool, swap: bool) -> np.ndarray:
+    """The read-only 2**p x 2**p int64 matrix K of one transform, K @ x =
+    `_levels` of x: the p-th Kronecker power of M1, the matrix of one level,
+    read off one level run on the rows of the 2 x 2 identity (row j becomes
+    M1 e_j).  Built on first use; p <= _KERNEL_P keeps about 0.7 MB in all."""
+    m1 = _levels(np.eye(2, dtype=np.int64), 1, op, superset=superset, swap=swap).T
+    kernel = reduce(np.kron, [m1] * p, np.ones((1, 1), dtype=np.int64))
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _levels(
+    arr: np.ndarray, p: int, op: np.ufunc, *, superset: bool, swap: bool = False
+) -> np.ndarray:
+    """The butterfly of `_butterfly` level by level, in place; returns arr.
+    A 2-D array in order "C" is transformed row by row.
 
     Each level is one ufunc call on two disjoint views of runs of 2**i
     adjacent entries.  numpy's inner loop follows the runs (order "C")
@@ -345,9 +408,12 @@ def _require_kind(fn: SubsetFn, expected: Kind, op: str) -> None:
 
 def _tag_beta(p: int, nums: np.ndarray, den: int) -> SubsetFn:
     """Tag an inversion result given as numerators over ``den`` > 0:
-    BETA when nonnegative, RAW otherwise."""
-    kind = Kind.RAW if nums.min() < 0 else Kind.BETA
-    return SubsetFn._from_numerators(p, nums, den, kind)
+    BETA when nonnegative, RAW otherwise, by the least entry `_store`
+    reads."""
+    nums, least = _store(nums)
+    fn = object.__new__(SubsetFn)
+    _init(fn, p, Kind.RAW if least < 0 else Kind.BETA, nums, least, den)
+    return fn
 
 
 # -- beta -> lambda / theta -------------------------------------------------
@@ -601,7 +667,7 @@ def _pairings(nums: Sequence[int], incidence: np.ndarray) -> np.ndarray:
     p = 12 and 4x slower at p = 16 (numpy 2.4), and ``einsum`` is exact on
     object arrays too.
     """
-    return np.einsum("i,ij->j", _store(nums), incidence)
+    return np.einsum("i,ij->j", _store(nums)[0], incidence)
 
 
 def _stray_column(ys: Sequence[int], incidence: np.ndarray, *, floor=None, ceiling=None):

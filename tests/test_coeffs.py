@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from taildep import coeffs
+from taildep import coeffs, tm
 from taildep.coeffs import (
     Kind,
     SubsetFn,
@@ -373,6 +373,106 @@ def test_butterfly_restores_the_buffer_when_a_tuned_level_raises():
     assert np.getbufsize() == default
 
 
+_LEVEL_VARIANTS = [  # (op, superset, swap) of each transform's butterfly, and one more
+    (np.add, True, False),
+    (np.subtract, True, False),
+    (np.subtract, False, False),
+    (np.subtract, False, True),
+    (np.add, False, False),
+]
+
+
+def _edge_numerators(p, rng, *, signed):
+    """2**p - 1 numerators whose absolute values sum to exactly 2**63 - 1,
+    each negated with probability 1/2 when ``signed``."""
+    top = (1 << 63) - 1
+    cuts = sorted(rng.randrange(top) for _ in range((1 << p) - 2))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, top])]
+    return [-v if signed and rng.random() < 0.5 else v for v in parts]
+
+
+def _every_transform(beta, raw):
+    """The six transforms of beta, the four that take a signed system of
+    raw as lambda and as theta, and synthesize of lambda and of raw."""
+    lam, th = lambda_from_beta(beta), theta_from_beta(beta)
+    out = [lam, th, beta_from_lambda(lam), beta_from_theta(th),
+           theta_from_lambda(lam), lambda_from_theta(th)]
+    raw_lam, raw_th = raw.with_kind(Kind.LAMBDA), raw.with_kind(Kind.THETA)
+    out += [beta_from_lambda(raw_lam), theta_from_lambda(raw_lam),
+            beta_from_theta(raw_th), lambda_from_theta(raw_th)]
+    model, failure = tm.synthesize(lam), tm.synthesize(raw_lam)
+    return out + [model.beta], failure
+
+
+def _same_numerators(got, want):
+    for fn, ref in zip(got, want, strict=True):
+        (nums, den), (ref_nums, ref_den) = fn._numerators(), ref._numerators()
+        assert nums.dtype == ref_nums.dtype and den == ref_den and fn.kind is ref.kind
+        assert np.array_equal(nums, ref_nums)
+
+
+@pytest.mark.parametrize("p", range(1, coeffs._KERNEL_P + 2))
+def test_product_and_levels_keep_every_numerator_at_the_int64_edge(p, monkeypatch):
+    # |numerators| summing to 2**63 - 1 bound every partial sum of K @ x
+    # exactly at int64's edge; the last p is past _KERNEL_P: the levels
+    rng = random.Random(p)
+    beta = SubsetFn._from_numerators(p, _edge_numerators(p, rng, signed=False), 3, Kind.BETA)
+    raw = SubsetFn._from_numerators(p, _edge_numerators(p, rng, signed=True), 5, Kind.RAW)
+    small_beta = _dense_beta(p)
+    small_raw = SubsetFn._from_numerators(
+        p, [rng.randrange(-47, 48) for _ in range((1 << p) - 1)], 7, Kind.RAW)
+    assert beta._numerators()[0].dtype == raw._numerators()[0].dtype == np.int64
+    kernels = []
+    real_kernel = coeffs._kernel
+    monkeypatch.setattr(coeffs, "_kernel", lambda *key: kernels.append(key) or real_kernel(*key))
+    got = [_every_transform(beta, raw), _every_transform(small_beta, small_raw)]
+    assert bool(kernels) is (p <= coeffs._KERNEL_P)
+
+    # the object twins stay on the levels
+    monkeypatch.setattr(coeffs, "_kernel", None)
+    big = (1 << 70) + 1
+    twins = _every_transform(beta.scaled(big), raw.scaled(big))
+    assert {fn._numerators()[0].dtype for fn in twins[0]} == {np.dtype(object)}
+
+    monkeypatch.setattr(coeffs, "_butterfly", reference_butterfly)
+    want = [_every_transform(beta, raw), _every_transform(small_beta, small_raw)]
+    for (fns, failure), (ref_fns, ref_failure) in zip(got, want):
+        _same_numerators(fns, ref_fns)
+        assert failure == ref_failure
+    ref_twins = _every_transform(beta.scaled(big), raw.scaled(big))
+    _same_numerators(twins[0], ref_twins[0])
+    assert twins[1] == ref_twins[1]
+
+
+@pytest.mark.parametrize("p", range(1, coeffs._KERNEL_P + 1))
+def test_kernel_is_the_level_path_on_unit_vectors(p):
+    for op, superset, swap in _LEVEL_VARIANTS:
+        kernel = coeffs._kernel(p, op, superset, swap)
+        columns = [reference_butterfly(unit, p, op, superset=superset, swap=swap)
+                   for unit in np.eye(1 << p, dtype=np.int64)]
+        assert kernel.dtype == np.int64 and not kernel.flags.writeable
+        assert np.array_equal(kernel, np.column_stack(columns))
+        assert coeffs._kernel(p, op, superset, swap) is kernel
+        with pytest.raises(ValueError):
+            kernel[0, 0] = 2
+
+
+def test_stand_in_ops_never_take_the_product(monkeypatch):
+    monkeypatch.setattr(coeffs, "_kernel", None)
+    calls = []
+
+    def add(*args, **kwargs):
+        calls.append(1)
+        np.add(*args, **kwargs)
+
+    for p in range(1, coeffs._KERNEL_P + 1):
+        arr = np.arange(1 << p, dtype=np.int64)
+        want = reference_butterfly(arr.copy(), p, np.add, superset=True)
+        assert coeffs._butterfly(arr, p, add, superset=True) is arr
+        assert np.array_equal(arr, want)
+    assert len(calls) == sum(range(1, coeffs._KERNEL_P + 1))
+
+
 def test_lattice_timings_script_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
@@ -388,6 +488,8 @@ def test_lattice_timings_script_runs():
     assert result.returncode == 0, result.stderr
     assert "p=4 dtype=int64 repeats=2" in result.stdout
     assert result.stdout.count("_from_") == 6 and "synthesize" in result.stdout
+    table = result.stdout.split("levels against product")[1].splitlines()[2:]
+    assert [int(row.split()[0]) for row in table] == list(range(2, 11))
 
 
 def test_transform_results_behave_like_built_systems():
@@ -526,12 +628,33 @@ def test_with_kind_and_scaled_match_rational_builds(beta, c):
                 _same(fn.with_kind(kind), expected)
 
 
-def test_equality_across_denominators():
+def test_equality_across_denominators(monkeypatch):
     lam = lambda_from_beta(line_fixture_model().beta)
     twice = lam.scaled(rat(2, 3)).scaled(rat(3, 2))  # same values, larger denominator
+    big = (1 << 70) + 1
+    wide = lam.scaled(big).scaled(rat(1, big))  # same values, object numerators
     assert twice._numerators()[1] != lam._numerators()[1]
-    assert twice == lam and hash(twice) == hash(lam)
-    assert lam.scaled(rat(2, 3)) != lam
+    assert wide._numerators()[0].dtype == object and lam._numerators()[0].dtype == np.int64
+    zero = SubsetFn.zeros(3, Kind.RAW)
+    tiny_zero = zero.scaled(rat(1, 1 << 70))  # int64 zeros over a denominator past int64
+    pickled = pickle.loads(pickle.dumps(lam))
+    fresh = lambda_from_beta(line_fixture_model().beta)
+
+    def refuse(nums, den):
+        raise AssertionError("hash built rationals")
+
+    monkeypatch.setattr(coeffs, "from_common_numerators", refuse)
+    h_lam, h_twice, h_wide, h_pickled, h_fresh, h_zero, h_tiny = map(
+        hash, (lam, twice, wide, pickled, fresh, zero, tiny_zero))
+    assert fresh._values is None
+    monkeypatch.undo()
+    assert twice == lam and h_twice == h_lam
+    assert wide == lam and h_wide == h_lam
+    assert pickled == lam and h_pickled == h_lam
+    assert fresh == lam and h_fresh == h_lam
+    assert tiny_zero == zero and h_tiny == h_zero
+    assert hash(lam.with_kind(Kind.RAW)) != h_lam
+    assert lam.scaled(rat(2, 3)) != lam and hash(lam.scaled(rat(2, 3))) != h_lam
 
 
 def _stored_as_numerators(fn, expected):
